@@ -5,11 +5,8 @@
 // The workload is the bundled 18-workflow suite drawn as a seeded
 // synthetic Poisson stream (cluster.SyntheticSource), run through
 // cluster.SimulateStream in summary-only mode so a million-job trace
-// needs constant memory. With -compare the same stream is rerun under
-// Options.LinearScan (the pre-index engine: all-nodes scans and
-// per-pass deep copies) and the report asserts the two engines produce
-// identical summaries — the cross-engine equivalence check — plus the
-// indexed-over-linear speedup.
+// needs constant memory. The engine's exactness against brute-force
+// node scans is pinned by the cluster package's tests, not here.
 //
 // With -baseline the run gates against a committed BENCH_fleet.json:
 // it fails (exit 1) when the fresh per-event cost regresses more than
@@ -39,22 +36,17 @@ import (
 )
 
 // benchDoc is the BENCH_fleet.json schema, version
-// "pmemsched/bench-fleet/v1". Fields under "indexed"/"linear" are
+// "pmemsched/bench-fleet/v1". Fields under "indexed" are
 // machine-dependent wall-clock measurements; everything else is
 // deterministic. Future PRs append runs by regenerating the file, and
 // the CI gate reads indexed.ns_per_event.
 type benchDoc struct {
 	Schema string      `json:"schema"`
 	Config benchConfig `json:"config"`
-	// Indexed is the production engine (bucketed free-capacity index,
+	// Indexed is the engine run (bucketed free-capacity index,
 	// copy-on-write snapshots, streaming trace, summary-only metrics).
 	Indexed benchRun `json:"indexed"`
-	// Linear is the pre-index engine on the same stream (present only
-	// with -compare), and Speedup is linear over indexed wall time.
-	Linear  *benchRun `json:"linear,omitempty"`
-	Speedup float64   `json:"speedup,omitempty"`
-	// Summary is the simulation outcome, identical across both engines
-	// (asserted when -compare is set).
+	// Summary is the simulation outcome.
 	Summary cluster.Summary `json:"summary"`
 }
 
@@ -84,7 +76,6 @@ func main() {
 	configName := flag.String("config", "S-LocW", "fixed site-wide configuration for fcfs/easy")
 	stackName := flag.String("stack", "nova", "storage stack: nova or nvstream")
 	parallel := flag.Int("parallel", 0, "run-engine worker pool size (0 = GOMAXPROCS)")
-	compare := flag.Bool("compare", false, "also run the linear-scan engine on the same stream and record the speedup")
 	out := flag.String("out", "BENCH_fleet.json", "output path")
 	baseline := flag.String("baseline", "", "committed BENCH_fleet.json to gate against (CI)")
 	tolerance := flag.Float64("tolerance", 2.0, "max allowed indexed ns/event regression factor vs the baseline")
@@ -130,24 +121,6 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "indexed: %d jobs on %d nodes in %.2fs (%.0f ns/event, %d events, %d passes)\n",
 		*jobs, *nodes, indexed.WallSeconds, indexed.NsPerEvent, indexed.Events, indexed.Passes)
-
-	if *compare {
-		linOpt := opt
-		linOpt.LinearScan = true
-		linear, linSum, err := run(linOpt, cfg)
-		if err != nil {
-			fatal(err)
-		}
-		a, _ := json.Marshal(sum)
-		b, _ := json.Marshal(linSum)
-		if string(a) != string(b) {
-			fatal(fmt.Errorf("indexed and linear-scan engines disagree on the summary:\n  indexed: %s\n  linear:  %s", a, b))
-		}
-		doc.Linear = &linear
-		doc.Speedup = linear.WallSeconds / indexed.WallSeconds
-		fmt.Fprintf(os.Stderr, "linear:  same stream in %.2fs (%.0f ns/event) — speedup %.1fx, summaries identical\n",
-			linear.WallSeconds, linear.NsPerEvent, doc.Speedup)
-	}
 
 	if *baseline != "" {
 		if err := gate(*baseline, indexed, *tolerance); err != nil {

@@ -71,7 +71,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	summaryOnly := fs.Bool("summary-only", false, "aggregate on the fly and emit only the summary (constant memory; fleet-scale runs)")
 	dedupSamples := fs.Bool("dedup-samples", false, "drop consecutive identical utilization samples from the series")
 	incrementalReflow := fs.Bool("incremental-reflow", false, "socket-local incremental interference reflow (bounded per-event work; last-ulp fp drift vs the exact reflow)")
-	linearScan := fs.Bool("linear-scan", false, "disable the free-capacity index; restore the pre-fleet all-nodes scans (A/B benchmarking)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -134,10 +133,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	rt := core.NewRunner(env, *parallel)
 	opt := cluster.Options{
-		Nodes:      *nodes,
-		Policy:     policy,
-		Estimator:  cluster.NewEstimator(rt),
-		LinearScan: *linearScan,
+		Nodes:     *nodes,
+		Policy:    policy,
+		Estimator: cluster.NewEstimator(rt),
 		Fleet: cluster.FleetOptions{
 			IncrementalReflow: *incrementalReflow,
 			DedupSamples:      *dedupSamples,

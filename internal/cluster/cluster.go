@@ -166,10 +166,13 @@ func (n *NodeView) fitsAt(t float64, ranks int, dram float64) bool {
 	return dram <= 0 || n.DRAMBytes <= 0 || n.DRAMFreeAt(t) >= dram
 }
 
-// EarliestFit returns the earliest time >= now at which ranks cores are
-// free, given the current residents and no further placements.
-func (n *NodeView) EarliestFit(now float64, ranks int) float64 {
-	if ranks > n.Cores {
+// EarliestFit returns the earliest time >= now at which ranks cores —
+// and, for a job holding dram bytes of node DRAM resident, that much
+// DRAM — are free, given the current residents and no further
+// placements. A zero dram demand, or a node whose DRAM is unmodeled,
+// reduces to the core-only check.
+func (n *NodeView) EarliestFit(now float64, ranks int, dram float64) float64 {
+	if ranks > n.Cores || (dram > 0 && n.DRAMBytes > 0 && dram > n.DRAMBytes) {
 		return inf()
 	}
 	if n.Down {
@@ -180,40 +183,12 @@ func (n *NodeView) EarliestFit(now float64, ranks int) float64 {
 		}
 		return now
 	}
-	if n.FreeAt(now) >= ranks {
+	if n.fitsAt(now, ranks, dram) {
 		return now
 	}
 	// Capacity frees only at completion instants; scan them in time
 	// order. Running is small (<= Cores jobs), so the quadratic scan is
 	// fine.
-	best := inf()
-	for _, r := range n.Running {
-		if r.EndSeconds > now && r.EndSeconds < best && n.FreeAt(r.EndSeconds) >= ranks {
-			best = r.EndSeconds
-		}
-	}
-	return best
-}
-
-// earliestFitDemand is EarliestFit with a DRAM demand alongside the
-// core count; it degrades to EarliestFit when the DRAM constraint is
-// inactive, so untiered paths are untouched.
-func (n *NodeView) earliestFitDemand(now float64, ranks int, dram float64) float64 {
-	if dram <= 0 || n.DRAMBytes <= 0 {
-		return n.EarliestFit(now, ranks)
-	}
-	if ranks > n.Cores || dram > n.DRAMBytes {
-		return inf()
-	}
-	if n.Down {
-		if up := n.UpSeconds; up > now {
-			return up
-		}
-		return now
-	}
-	if n.fitsAt(now, ranks, dram) {
-		return now
-	}
 	best := inf()
 	for _, r := range n.Running {
 		if r.EndSeconds > now && r.EndSeconds < best && n.fitsAt(r.EndSeconds, ranks, dram) {
@@ -295,16 +270,16 @@ type SchedContext struct {
 	// node when it is freshly repaired and other nodes fit.
 	avoid []int
 
-	// idx is the engine's bucketed free-capacity view (nil under
-	// Options.LinearScan and in hand-built test contexts, where queries
-	// fall back to scanning Nodes). Tentative placements update it
-	// through a journal the engine rolls back after the pass.
+	// idx is the engine's bucketed free-capacity view (nil in
+	// hand-built contexts, where queries fall back to scanning Nodes).
+	// Tentative placements update it through a journal the engine rolls
+	// back after the pass.
 	idx *freeIndex
 	// owned implements copy-on-write: when non-nil, Nodes aliases the
 	// engine's authoritative views and the first mutation of a node
 	// clones it into the slice (owned[i] marks clones). Policies must
-	// mutate nodes only through Place. When nil, Nodes is a private deep
-	// copy and is mutated directly (the legacy path).
+	// mutate nodes only through Place. When nil (hand-built contexts),
+	// Nodes is private to the caller and is mutated directly.
 	owned []bool
 	// ephemeral counts zero-duration placements made this pass. The
 	// index tracks structural occupancy (residents hold cores until
@@ -441,17 +416,7 @@ func (c *SchedContext) eachFitJob(j Job, skip int, yield func(n *NodeView) bool)
 // EarliestFitJob is EarliestFit for a concrete job, honoring its DRAM
 // demand alongside its core count.
 func (c *SchedContext) EarliestFitJob(j Job) (float64, int) {
-	dram := jobDRAMBytes(j)
-	if dram <= 0 {
-		return c.EarliestFit(j.Workflow.Ranks)
-	}
-	best, bestNode := inf(), -1
-	for _, n := range c.Nodes {
-		if t := n.earliestFitDemand(c.Now, j.Workflow.Ranks, dram); t < best {
-			best, bestNode = t, n.ID
-		}
-	}
-	return best, bestNode
+	return c.earliestFit(j.Workflow.Ranks, jobDRAMBytes(j))
 }
 
 // EarliestFit returns the earliest (time, node) at which ranks cores
@@ -460,14 +425,20 @@ func (c *SchedContext) EarliestFitJob(j Job) (float64, int) {
 // over resident end times runs only for a saturated cluster, where it
 // is unavoidable.
 func (c *SchedContext) EarliestFit(ranks int) (float64, int) {
-	if c.indexed() {
+	return c.earliestFit(ranks, 0)
+}
+
+// earliestFit is EarliestFit with a DRAM demand; the index knows only
+// cores, so a DRAM-demanding query always scans.
+func (c *SchedContext) earliestFit(ranks int, dram float64) (float64, int) {
+	if dram <= 0 && c.indexed() {
 		if id := c.idx.firstFit(ranks); id >= 0 {
 			return c.Now, id
 		}
 	}
 	best, bestNode := inf(), -1
 	for _, n := range c.Nodes {
-		if t := n.EarliestFit(c.Now, ranks); t < best {
+		if t := n.EarliestFit(c.Now, ranks, dram); t < best {
 			best, bestNode = t, n.ID
 		}
 	}
@@ -527,12 +498,6 @@ type Options struct {
 	// exponential backoff, bounded attempts, optional
 	// checkpoint-restart. The zero value selects DefaultRetry().
 	Retry RetryPolicy
-	// LinearScan disables the free-capacity index and the copy-on-write
-	// snapshots, restoring the pre-fleet engine's all-nodes scans and
-	// per-pass deep copies. The indexed engine is exact (byte-identical
-	// output), so this exists purely for A/B benchmarking and for
-	// cross-checking the index in tests.
-	LinearScan bool
 	// Fleet holds the opt-in fleet-scale trade-offs. The zero value
 	// changes nothing; see FleetOptions.
 	Fleet FleetOptions
@@ -565,8 +530,8 @@ type FleetOptions struct {
 }
 
 func (o Options) validate() error {
-	if o.Nodes <= 0 {
-		return fmt.Errorf("cluster: need at least one node (got %d)", o.Nodes)
+	if o.Nodes < 0 {
+		return fmt.Errorf("cluster: negative node count %d", o.Nodes)
 	}
 	if o.Policy == nil {
 		return fmt.Errorf("cluster: no scheduling policy")

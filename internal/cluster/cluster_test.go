@@ -365,6 +365,47 @@ func TestTraceErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteArrivalsRejected is the regression test for non-finite
+// arrival times, which every job intake used to accept: a NaN arrival
+// never equals the clock, so its event never drained and Simulate spun
+// forever; a +Inf one yielded an infinite makespan; and the store
+// queued a NaN arrival (reporting a NaN wait) and parked a +Inf one
+// forever. The checks probe the intakes, never the event loop.
+func TestNonFiniteArrivalsRejected(t *testing.T) {
+	wf := workloads.GTCReadOnly(4)
+	est := fakeEst{dur: map[string]float64{wf.Name: 5}}
+	opt := Options{Nodes: 1, CoresPerSocket: 6, Policy: FCFS(core.SLocW), Estimator: est}
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		tr := Trace{Jobs: []Job{{ID: 0, Workflow: wf, ArrivalSeconds: at}}}
+		if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+			t.Errorf("Validate(arrival %g) = %v, want a non-finite arrival error", at, err)
+		}
+		// SimulateStream's validating source, probed directly so a
+		// regression fails here instead of hanging the engine.
+		src := &checkedSource{src: tr.Source(), cores: 6}
+		if _, _, err := src.Next(); err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+			t.Errorf("streaming source passed arrival %g (error %v)", at, err)
+		}
+	}
+	st, err := NewState(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if id, err := st.Submit(wf, at); err == nil {
+			js, _ := st.Job(id)
+			t.Errorf("Submit(arrival %g) accepted as job %d (%s, wait %g)", at, id, js.Phase, js.WaitSeconds)
+		}
+	}
+	if snap := st.Snapshot(); snap.Submitted != 0 {
+		t.Errorf("rejected submissions left %d jobs in the store", snap.Submitted)
+	}
+	// A past arrival still clamps to the clock instead of erroring.
+	if _, err := st.Submit(wf, -1); err != nil {
+		t.Errorf("Submit(arrival -1) = %v, want it clamped to the clock", err)
+	}
+}
+
 // TestTraceIDValidation is the regression test for the job-ID indexing
 // bug: the engine indexes per-job state by ID, so a hand-assembled
 // trace with duplicate or non-contiguous IDs used to panic with

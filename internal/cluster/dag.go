@@ -100,11 +100,14 @@ func profileJob(est Estimator, j Job, cfg core.Config) (JobProfile, error) {
 	return JobProfile{}, nil
 }
 
-// validateJob checks one trace job: the workflow (envelope) spec
-// always, and for DAG jobs the DAG itself plus envelope consistency,
-// so every consumer (capacity math, metrics) can trust the envelope's
-// name and rank count.
+// validateJob checks one job: its arrival and workflow (envelope)
+// spec always, and for DAG jobs the DAG itself plus envelope
+// consistency, so every consumer (capacity math, metrics) can trust
+// the envelope's name and rank count.
 func validateJob(j Job) error {
+	if err := checkArrival(j.ArrivalSeconds); err != nil {
+		return err
+	}
 	if err := j.Workflow.Validate(); err != nil {
 		return err
 	}

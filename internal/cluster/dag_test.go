@@ -39,7 +39,7 @@ func dagJob(d workflow.DAGSpec, id int, arrival float64) Job {
 // target used to corrupt the clock instead of erroring) ---
 
 func TestAdvanceToRejectsInvalidTargets(t *testing.T) {
-	st, err := NewState(StateOptions{Policy: PMEMAware(), Estimator: variedEst{}})
+	st, err := NewState(Options{Policy: PMEMAware(), Estimator: variedEst{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,12 @@ import (
 // before the policy runs, so the intra-instant order only fixes how
 // state mutations compose.
 //
+// One engine serves two drivers. simulate pulls a trace through it and
+// meters the outcome (Simulate, SimulateStream); State, the daemon's
+// placement store, submits jobs and moves the clock by request. Both
+// run the same per-instant step, so a job parked in the store's future
+// is an arrival event like any trace job's.
+//
 // With the interference model enabled the loop is a fluid reflow
 // engine: jobs track remaining work in standalone-seconds, progress
 // rates are recomputed at every residency change, and completion
@@ -36,17 +42,16 @@ import (
 // disabled no node event is ever posted and no code path below
 // diverges from the fault-free engine.
 //
-// Fleet scale: the engine consumes its trace through a jobSource (one
-// staged arrival at a time, so a million-job trace never needs a
-// million-element slice), answers placement queries through the
-// bucketed freeIndex instead of scanning every node, and hands
-// policies a copy-on-write snapshot instead of deep-copying every
-// NodeView per pass. All three are exact — the index returns the node
-// the linear scan would have, the COW view reads identically, and the
-// metrics integrate the same occupancy values — so default output is
-// byte-identical to the pre-index engine (Options.LinearScan restores
-// the old scans for A/B benchmarking). The opt-in FleetOptions trade
-// byte-compatibility for bounded per-event work; see Options.Fleet.
+// Fleet scale: the engine consumes its trace one staged arrival at a
+// time (a million-job trace never needs a million-element slice),
+// answers placement queries through the bucketed freeIndex instead of
+// scanning every node, and hands policies a copy-on-write view instead
+// of deep-copying every NodeView per pass. All three are exact — the
+// index returns the node the linear scan would have, the COW view
+// reads identically, and the metrics integrate the same occupancy
+// values — which the tests pin against a brute-force linear reference.
+// The opt-in FleetOptions trade byte-compatibility for bounded
+// per-event work; see Options.Fleet.
 
 type eventKind uint8
 
@@ -91,11 +96,10 @@ func (h *eventHeap) peek() (event, bool) {
 	return (*h)[0], true
 }
 
-// jobState tracks one trace job through the simulation.
+// jobState tracks one job through the engine.
 type jobState struct {
 	job      Job
-	started  bool
-	done     bool
+	phase    JobPhase
 	node     int
 	cfg      string
 	start    float64
@@ -114,13 +118,6 @@ type jobState struct {
 	credit   float64 // checkpointed standalone-seconds carried into the next attempt
 	wasted   float64 // standalone-seconds lost to kills (work beyond the last checkpoint)
 	failed   bool    // retry budget exhausted; the job will never complete
-}
-
-// jobSource is the engine-facing arrival stream: jobs in trace order,
-// already validated (IDs equal positions, sorted arrivals, ranks that
-// fit a socket).
-type jobSource interface {
-	next() (Job, bool, error)
 }
 
 // coresPerSocket resolves the effective per-socket core capacity.
@@ -144,15 +141,11 @@ func Simulate(tr Trace, opt Options) (*Metrics, error) {
 	}
 	cores := opt.coresPerSocket()
 	for _, j := range tr.Jobs {
-		if j.Workflow.Ranks > cores {
-			return nil, fmt.Errorf("cluster: job %d (%s) needs %d ranks but nodes have %d cores per socket",
-				j.ID, j.Workflow.Name, j.Workflow.Ranks, cores)
-		}
-		if err := checkJobDRAM(j, opt.DRAMBytesPerNode); err != nil {
-			return nil, err
+		if err := checkFits(j, cores, opt.DRAMBytesPerNode); err != nil {
+			return nil, fmt.Errorf("cluster: job %d (%s) %w", j.ID, j.Workflow.Name, err)
 		}
 	}
-	return simulate(&sliceSource{jobs: tr.Jobs}, opt, cores)
+	return simulate(tr.Source(), opt)
 }
 
 // SimulateStream is Simulate over a streaming trace: the engine pulls
@@ -165,39 +158,26 @@ func SimulateStream(src TraceSource, opt Options) (*Metrics, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err
 	}
-	cores := opt.coresPerSocket()
-	return simulate(&checkedSource{src: src, cores: cores, dram: opt.DRAMBytesPerNode}, opt, cores)
+	return simulate(&checkedSource{src: src, cores: opt.coresPerSocket(), dram: opt.DRAMBytesPerNode}, opt)
 }
 
-// checkJobDRAM rejects a job whose tier policy demands more node DRAM
-// than any node has (it could never be placed), mirroring the
-// ranks-per-socket check. Inactive when DRAM is unmodeled (capacity 0).
-func checkJobDRAM(j Job, capacity float64) error {
-	if demand := jobDRAMBytes(j); capacity > 0 && demand > capacity {
-		return fmt.Errorf("cluster: job %d (%s) holds %g DRAM bytes resident but nodes have %g",
-			j.ID, j.Workflow.Name, demand, capacity)
+// checkFits rejects a job no node could ever hold: more ranks than a
+// socket has cores, or — when DRAM is modeled (capacity > 0) — more
+// resident DRAM than a node has. The error reads as the tail of a
+// sentence the caller starts by naming the job.
+func checkFits(j Job, cores int, dram float64) error {
+	if j.Workflow.Ranks > cores {
+		return fmt.Errorf("needs %d ranks but nodes have %d cores per socket", j.Workflow.Ranks, cores)
+	}
+	if demand := jobDRAMBytes(j); dram > 0 && demand > dram {
+		return fmt.Errorf("holds %g DRAM bytes resident but nodes have %g", demand, dram)
 	}
 	return nil
 }
 
-// sliceSource streams an already-validated in-memory trace.
-type sliceSource struct {
-	jobs []Job
-	i    int
-}
-
-func (s *sliceSource) next() (Job, bool, error) {
-	if s.i >= len(s.jobs) {
-		return Job{}, false, nil
-	}
-	j := s.jobs[s.i]
-	s.i++
-	return j, true, nil
-}
-
 // checkedSource validates a user-supplied TraceSource as it streams:
-// the incremental equivalent of Trace.Validate plus the per-socket
-// ranks check Simulate performs up front.
+// the incremental equivalent of Trace.Validate plus the fit check
+// Simulate performs up front.
 type checkedSource struct {
 	src   TraceSource
 	cores int
@@ -206,7 +186,7 @@ type checkedSource struct {
 	prev  float64
 }
 
-func (c *checkedSource) next() (Job, bool, error) {
+func (c *checkedSource) Next() (Job, bool, error) {
 	j, ok, err := c.src.Next()
 	if err != nil {
 		return Job{}, false, fmt.Errorf("cluster: streaming trace job %d: %w", c.id, err)
@@ -220,19 +200,12 @@ func (c *checkedSource) next() (Job, bool, error) {
 	if err := validateJob(j); err != nil {
 		return Job{}, false, fmt.Errorf("cluster: streaming trace job %d: %w", c.id, err)
 	}
-	if j.ArrivalSeconds < 0 {
-		return Job{}, false, fmt.Errorf("cluster: streaming trace job %d: negative arrival %g", c.id, j.ArrivalSeconds)
-	}
 	if j.ArrivalSeconds < c.prev {
 		return Job{}, false, fmt.Errorf("cluster: streaming trace job %d: arrival %g before job %d's %g (stream must be sorted)",
 			c.id, j.ArrivalSeconds, c.id-1, c.prev)
 	}
-	if j.Workflow.Ranks > c.cores {
-		return Job{}, false, fmt.Errorf("cluster: job %d (%s) needs %d ranks but nodes have %d cores per socket",
-			j.ID, j.Workflow.Name, j.Workflow.Ranks, c.cores)
-	}
-	if err := checkJobDRAM(j, c.dram); err != nil {
-		return Job{}, false, err
+	if err := checkFits(j, c.cores, c.dram); err != nil {
+		return Job{}, false, fmt.Errorf("cluster: job %d (%s) %w", j.ID, j.Workflow.Name, err)
 	}
 	c.prev = j.ArrivalSeconds
 	c.id++
@@ -255,285 +228,345 @@ func (d *dirtyNodes) mark(node, socket int) {
 	d.mask[node] |= 1 << uint(socket&1)
 }
 
-// simulate is the shared event loop behind Simulate and SimulateStream.
-func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
-	iv := opt.Interference
-	retry := opt.retry()
-	fleet := opt.Fleet
-	nodes := make([]*NodeView, opt.Nodes)
-	for i := range nodes {
-		nodes[i] = &NodeView{ID: i, Cores: cores, DRAMBytes: opt.DRAMBytesPerNode}
-	}
-	var idx *freeIndex
-	if !opt.LinearScan {
-		idx = newFreeIndex(opt.Nodes, cores)
-	}
+// engine is the scheduling core both drivers share: the nodes, the
+// free-capacity index, the metered occupancy, the event heap, per-job
+// state, the pending queue and the failure-avoid list.
+type engine struct {
+	opt         Options
+	cores       int
+	retry       RetryPolicy
+	incremental bool // socket-local reflow (interference + Fleet.IncrementalReflow)
+
+	nodes []*NodeView
+	idx   *freeIndex
 	// occ mirrors each node's metered occupancy (the value
 	// Cores - FreeAt(now) would report, including the convention that a
 	// down node meters as fully busy), maintained incrementally so the
 	// metrics never rescan resident lists.
-	occ := make([]int, opt.Nodes)
+	occ     []int
+	states  []*jobState
+	events  eventHeap
+	pending []Job
+	avoid   []int // per job: the node whose failure killed it; nil without faults
+	faults  *faultDriver
+	dirty   dirtyNodes
 
-	var states []*jobState
-	var events eventHeap
-	var avoid []int
-	srcDone := false
-	pull := func() error {
-		j, ok, err := src.next()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			srcDone = true
-			return nil
-		}
-		if j.ID != len(states) {
-			return fmt.Errorf("cluster: trace job at position %d has ID %d (IDs must equal trace positions)", len(states), j.ID)
-		}
-		states = append(states, &jobState{job: j, node: -1})
-		if opt.Faults.Enabled {
-			avoid = append(avoid, -1)
-		}
-		events.add(event{at: j.ArrivalSeconds, kind: evArrive, job: j.ID})
-		return nil
-	}
-	if err := pull(); err != nil {
-		return nil, err
-	}
-	if srcDone && len(states) == 0 {
-		return nil, fmt.Errorf("cluster: empty trace")
-	}
+	// Reusable copy-on-write snapshot scratch for the policy pass.
+	view  []*NodeView
+	owned []bool
 
-	var faults *faultDriver
+	src      TraceSource // stages trace arrivals; nil once exhausted (always, for the store)
+	finished int         // completed or permanently failed jobs
+	popped   int         // event-heap pops, stale ones included
+	passes   int         // live scheduling passes
+
+	// Optional driver hooks: finish sees every job that completes or
+	// permanently fails; placed sees every committed placement before it
+	// charges the index.
+	finish func(st *jobState)
+	placed func(st *jobState, pl Placement)
+}
+
+// newEngine builds an engine over opt.Nodes fresh nodes. The options
+// must already be validated.
+func newEngine(opt Options) (*engine, error) {
+	e := &engine{
+		opt:         opt,
+		cores:       opt.coresPerSocket(),
+		retry:       opt.retry(),
+		incremental: opt.Interference.Enabled && opt.Fleet.IncrementalReflow,
+	}
+	e.idx = newFreeIndex(0, e.cores)
+	for i := 0; i < opt.Nodes; i++ {
+		e.addNode()
+	}
 	if opt.Faults.Enabled {
 		var err error
-		if faults, err = newFaultDriver(opt.Faults, opt.Nodes); err != nil {
+		if e.faults, err = newFaultDriver(opt.Faults, opt.Nodes); err != nil {
 			return nil, err
 		}
-		faults.start(opt.Nodes, &events)
+		e.faults.start(opt.Nodes, &e.events)
 	}
+	return e, nil
+}
 
-	m := newMetrics(opt.Policy.Name(), opt.Nodes, cores, opt.SlowdownBoundSeconds, iv.Enabled, opt.Faults.Enabled, fleet)
-	incremental := iv.Enabled && fleet.IncrementalReflow
-	var dirty dirtyNodes
-	if incremental {
-		dirty.mask = make([]uint8, opt.Nodes)
-	}
-	// Reusable copy-on-write snapshot scratch for the indexed path.
-	var view []*NodeView
-	var owned []bool
-	if idx != nil {
-		view = make([]*NodeView, opt.Nodes)
-		owned = make([]bool, opt.Nodes)
-	}
+// addNode registers one empty, schedulable node and returns its ID.
+func (e *engine) addNode() int {
+	id := e.idx.add()
+	e.nodes = append(e.nodes, &NodeView{ID: id, Cores: e.cores, DRAMBytes: e.opt.DRAMBytesPerNode})
+	e.occ = append(e.occ, 0)
+	e.view = append(e.view, nil)
+	e.owned = append(e.owned, false)
+	e.dirty.mask = append(e.dirty.mask, 0)
+	return id
+}
 
-	var pending []Job
-	prev := 0.0
-	finished := 0 // completed or permanently failed jobs
+// addJob registers a job, not yet arrived.
+func (e *engine) addJob(j Job) *jobState {
+	st := &jobState{job: j, phase: JobFuture, node: -1}
+	e.states = append(e.states, st)
+	if e.opt.Faults.Enabled {
+		e.avoid = append(e.avoid, -1)
+	}
+	return st
+}
+
+// pull stages the next trace job as an arrival event, or marks the
+// source exhausted.
+func (e *engine) pull() error {
+	j, ok, err := e.src.Next()
+	if err != nil {
+		return err
+	}
+	if !ok {
+		e.src = nil
+		return nil
+	}
+	e.addJob(j)
+	e.events.add(event{at: j.ArrivalSeconds, kind: evArrive, job: j.ID})
+	return nil
+}
+
+// retire counts a job that completed or permanently failed.
+func (e *engine) retire(st *jobState) {
+	e.finished++
+	if e.finish != nil {
+		e.finish(st)
+	}
+}
+
+// step runs one instant of the event loop: it applies every event due
+// at now and, when any of them was live (or force is set), consults the
+// policy once. It reports false when every event was stale and nothing
+// was forced, so the instant changed nothing.
+func (e *engine) step(now float64, force bool) (bool, error) {
+	live := false
 	for {
-		head, ok := events.peek()
+		ev, ok := e.events.peek()
+		if !ok || ev.at != now {
+			break
+		}
+		ev = e.events.next()
+		e.popped++
+		switch ev.kind {
+		case evArrive:
+			st := e.states[ev.job]
+			st.phase = JobQueued
+			e.pending = append(e.pending, st.job)
+			// A fresh arrival (not a fault retry) consumed the staged
+			// job; stage the next one from the source.
+			if e.src != nil && ev.job == len(e.states)-1 && st.attempts == 0 {
+				if err := e.pull(); err != nil {
+					return false, err
+				}
+			}
+			live = true
+		case evComplete:
+			st := e.states[ev.job]
+			if st == nil || st.phase != JobRunning || ev.epoch != st.epoch {
+				continue // superseded by a reflow re-post or a kill
+			}
+			st.phase = JobDone
+			st.end = now
+			if !e.nodes[st.node].remove(st.job.ID) {
+				return false, fmt.Errorf("cluster: engine accounting: completion of job %d found no resident on node %d", st.job.ID, st.node)
+			}
+			if st.end > st.start { // zero-remaining placements never occupied cores
+				e.idx.remove(st.node, st.job.Workflow.Ranks)
+				e.occ[st.node] -= st.job.Workflow.Ranks
+			}
+			if e.incremental {
+				e.dirty.mark(st.node, st.profile.DeviceSocket)
+			}
+			e.retire(st)
+			live = true
+		case evNodeDown:
+			n := e.nodes[ev.job]
+			n.Down = true
+			n.UpSeconds = e.faults.repairAt(ev.job, now)
+			e.events.add(event{at: n.UpSeconds, kind: evNodeUp, job: ev.job})
+			for _, r := range n.Running {
+				if st := e.states[r.JobID]; e.kill(st, now) {
+					e.retire(st)
+				}
+			}
+			n.Running = n.Running[:0]
+			e.idx.down(ev.job)
+			e.occ[ev.job] = n.Cores // a down node meters as fully busy (FreeAt reports 0 free)
+			live = true
+		case evNodeUp:
+			n := e.nodes[ev.job]
+			n.Down = false
+			n.UpSeconds = 0
+			if at, ok := e.faults.nextDown(ev.job, now); ok {
+				e.events.add(event{at: at, kind: evNodeDown, job: ev.job})
+			}
+			e.idx.up(ev.job)
+			e.occ[ev.job] = 0
+			live = true
+		}
+	}
+	if !live && !force {
+		return false, nil
+	}
+	if live && e.opt.Interference.Enabled {
+		// Residency changed: advance progress to now and re-rate the
+		// survivors before the policy reads EndSeconds.
+		e.reflow(now)
+	}
+	e.passes++
+	return true, e.pass(now)
+}
+
+// pass consults the policy once over the pending queue and commits the
+// returned placements. The policy sees a copy-on-write view of the
+// nodes and the index under a journal the engine rolls back before
+// re-applying the committed placements to the authoritative state.
+func (e *engine) pass(now float64) error {
+	if len(e.nodes) == 0 {
+		return nil // a store may see jobs before its fleet registers
+	}
+	copy(e.view, e.nodes)
+	for i := range e.owned {
+		e.owned[i] = false
+	}
+	e.idx.begin()
+	ctx := &SchedContext{Now: now, Queue: append([]Job(nil), e.pending...), Nodes: e.view, Est: e.opt.Estimator,
+		Model: e.opt.Interference, avoid: e.avoid, idx: e.idx, owned: e.owned}
+	placements, err := e.opt.Policy.Schedule(ctx)
+	e.idx.rollback()
+	if err != nil {
+		return err
+	}
+	for _, pl := range placements {
+		if err := e.commit(now, pl); err != nil {
+			return err
+		}
+	}
+	if e.opt.Interference.Enabled && len(placements) > 0 {
+		// Newcomers changed residency: re-rate everyone again.
+		e.reflow(now)
+	}
+	return nil
+}
+
+// commit checks one policy placement against the authoritative state
+// and starts the job.
+func (e *engine) commit(now float64, pl Placement) error {
+	pol := e.opt.Policy
+	if pl.JobID < 0 || pl.JobID >= len(e.states) || e.states[pl.JobID] == nil || e.states[pl.JobID].phase != JobQueued {
+		return fmt.Errorf("cluster: policy %s placed unknown or unqueued job %d", pol.Name(), pl.JobID)
+	}
+	if pl.Node < 0 || pl.Node >= len(e.nodes) {
+		return fmt.Errorf("cluster: policy %s placed job %d on unknown node %d", pol.Name(), pl.JobID, pl.Node)
+	}
+	st, n := e.states[pl.JobID], e.nodes[pl.Node]
+	ranks := st.job.Workflow.Ranks
+	if n.Down {
+		return fmt.Errorf("cluster: policy %s placed job %d on failed node %d", pol.Name(), pl.JobID, pl.Node)
+	}
+	if n.FreeAt(now) < ranks {
+		return fmt.Errorf("cluster: policy %s overcommitted node %d with job %d (%d ranks, %d cores free)",
+			pol.Name(), pl.Node, pl.JobID, ranks, n.FreeAt(now))
+	}
+	dram := jobDRAMBytes(st.job)
+	if dram > 0 && n.DRAMBytes > 0 && n.DRAMFreeAt(now) < dram {
+		return fmt.Errorf("cluster: policy %s overcommitted node %d DRAM with job %d (%g bytes demanded, %g free)",
+			pol.Name(), pl.Node, pl.JobID, dram, n.DRAMFreeAt(now))
+	}
+	dur, err := estimateJob(e.opt.Estimator, st.job, pl.Config)
+	if err != nil {
+		return fmt.Errorf("cluster: executing job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
+	}
+	remaining := dur - st.credit // checkpoint credit resumes mid-job
+	if remaining < 0 {
+		remaining = 0
+	}
+	st.phase = JobRunning
+	st.attempts++
+	st.node = pl.Node
+	st.cfg = pl.Config.Label()
+	st.start = now
+	st.duration = dur
+	st.end = now + remaining
+	if e.avoid != nil {
+		e.avoid[pl.JobID] = -1
+	}
+	if e.opt.Interference.Enabled {
+		prof, err := profileJob(e.opt.Estimator, st.job, pl.Config)
+		if err != nil {
+			return fmt.Errorf("cluster: profiling job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
+		}
+		st.profile = prof
+		st.progress = st.credit
+		st.lastAt = now
+		// rate stays 0: the pass's closing reflow rates the newcomer and
+		// posts its first completion event.
+		n.place(st.job.ID, ranks, st.end, dram, prof)
+		if e.incremental {
+			e.dirty.mark(pl.Node, prof.DeviceSocket)
+		}
+	} else {
+		n.place(st.job.ID, ranks, st.end, dram, JobProfile{})
+		e.events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
+	}
+	if e.placed != nil {
+		e.placed(st, pl)
+	}
+	if remaining > 0 {
+		e.idx.place(pl.Node, ranks)
+		e.occ[pl.Node] += ranks
+	}
+	e.pending = removeJob(e.pending, st.job.ID)
+	return nil
+}
+
+// simulate is the batch driver behind Simulate and SimulateStream: it
+// pulls the trace through the engine one instant at a time and meters
+// occupancy between instants.
+func simulate(src TraceSource, opt Options) (*Metrics, error) {
+	if opt.Nodes == 0 {
+		return nil, fmt.Errorf("cluster: need at least one node (got 0)")
+	}
+	e, err := newEngine(opt)
+	if err != nil {
+		return nil, err
+	}
+	e.src = src
+	if err := e.pull(); err != nil {
+		return nil, err
+	}
+	if len(e.states) == 0 {
+		return nil, fmt.Errorf("cluster: empty trace")
+	}
+	fleet := opt.Fleet
+	m := newMetrics(opt.Policy.Name(), opt.Nodes, e.cores, opt.SlowdownBoundSeconds, opt.Interference.Enabled, opt.Faults.Enabled, fleet)
+	if fleet.SummaryOnly {
+		e.finish = func(st *jobState) {
+			m.record(st)
+			e.states[st.job.ID] = nil // aggregated; release the state
+		}
+	}
+	prev := 0.0
+	for {
+		head, ok := e.events.peek()
 		if !ok {
 			break
 		}
 		now := head.at
-		if opt.LinearScan {
-			m.integrate(nodes, prev, now)
-		} else {
-			m.integrateOcc(occ, prev, now)
-		}
+		m.integrate(e.occ, prev, now)
 		prev = now
-		live := false
-		for {
-			e, ok := events.peek()
-			if !ok || e.at != now {
-				break
-			}
-			e = events.next()
-			m.Events++
-			switch e.kind {
-			case evArrive:
-				st := states[e.job]
-				pending = append(pending, st.job)
-				// A fresh arrival (not a fault retry) consumed the staged
-				// job; stage the next one from the source.
-				if !srcDone && e.job == len(states)-1 && st.attempts == 0 {
-					if err := pull(); err != nil {
-						return nil, err
-					}
-				}
-				live = true
-			case evComplete:
-				st := states[e.job]
-				if st == nil || st.done || e.epoch != st.epoch {
-					continue // superseded by a reflow re-post or a kill
-				}
-				st.done = true
-				st.end = now
-				if !nodes[st.node].remove(st.job.ID) {
-					return nil, fmt.Errorf("cluster: engine accounting: completion of job %d found no resident on node %d", st.job.ID, st.node)
-				}
-				if st.end > st.start { // zero-remaining placements never occupied cores
-					if idx != nil {
-						idx.remove(st.node, st.job.Workflow.Ranks)
-					}
-					occ[st.node] -= st.job.Workflow.Ranks
-				}
-				if incremental {
-					dirty.mark(st.node, st.profile.DeviceSocket)
-				}
-				finished++
-				live = true
-				if fleet.SummaryOnly {
-					m.record(st)
-					states[e.job] = nil // aggregated; release the state
-				}
-			case evNodeDown:
-				n := nodes[e.job]
-				n.Down = true
-				n.UpSeconds = faults.repairAt(e.job, now)
-				events.add(event{at: n.UpSeconds, kind: evNodeUp, job: e.job})
-				for _, r := range n.Running {
-					st := states[r.JobID]
-					if kill(st, retry, iv, now, avoid, &events) {
-						finished++
-						if fleet.SummaryOnly {
-							m.record(st)
-							states[r.JobID] = nil
-						}
-					}
-				}
-				n.Running = n.Running[:0]
-				if idx != nil {
-					idx.down(e.job)
-				}
-				occ[e.job] = n.Cores // a down node meters as fully busy (FreeAt reports 0 free)
-				live = true
-			case evNodeUp:
-				n := nodes[e.job]
-				n.Down = false
-				n.UpSeconds = 0
-				if at, ok := faults.nextDown(e.job, now); ok {
-					events.add(event{at: at, kind: evNodeDown, job: e.job})
-				}
-				if idx != nil {
-					idx.up(e.job)
-				}
-				occ[e.job] = 0
-				live = true
-			}
+		ran, err := e.step(now, false)
+		if err != nil {
+			return nil, err
 		}
-		if !live {
+		if !ran {
 			// Every event at this time was stale; occupancy did not
 			// change, so there is nothing to schedule or sample.
 			continue
 		}
-		if iv.Enabled {
-			// Completions changed residency: advance progress to now and
-			// re-rate the survivors before the policy reads EndSeconds.
-			if incremental {
-				reflowDirty(now, nodes, states, &events, iv, &dirty)
-			} else {
-				reflow(now, nodes, states, &events, iv)
-			}
-		}
-		m.Passes++
-
-		var ctx *SchedContext
-		if idx != nil {
-			copy(view, nodes)
-			for i := range owned {
-				owned[i] = false
-			}
-			idx.begin()
-			ctx = &SchedContext{Now: now, Queue: append([]Job(nil), pending...), Nodes: view, Est: opt.Estimator, Model: iv, avoid: avoid, idx: idx, owned: owned}
-		} else {
-			ctx = &SchedContext{Now: now, Queue: append([]Job(nil), pending...), Nodes: snapshot(nodes), Est: opt.Estimator, Model: iv, avoid: avoid}
-		}
-		placements, err := opt.Policy.Schedule(ctx)
-		if idx != nil {
-			idx.rollback()
-		}
-		if err != nil {
-			return nil, err
-		}
-		for _, pl := range placements {
-			if pl.JobID < 0 || pl.JobID >= len(states) || states[pl.JobID] == nil || states[pl.JobID].started {
-				return nil, fmt.Errorf("cluster: policy %s placed unknown or already-started job %d", opt.Policy.Name(), pl.JobID)
-			}
-			if pl.Node < 0 || pl.Node >= len(nodes) {
-				return nil, fmt.Errorf("cluster: policy %s placed job %d on unknown node %d", opt.Policy.Name(), pl.JobID, pl.Node)
-			}
-			st := states[pl.JobID]
-			if nodes[pl.Node].Down {
-				return nil, fmt.Errorf("cluster: policy %s placed job %d on failed node %d", opt.Policy.Name(), pl.JobID, pl.Node)
-			}
-			if nodes[pl.Node].FreeAt(now) < st.job.Workflow.Ranks {
-				return nil, fmt.Errorf("cluster: policy %s overcommitted node %d with job %d (%d ranks, %d cores free)",
-					opt.Policy.Name(), pl.Node, pl.JobID, st.job.Workflow.Ranks, nodes[pl.Node].FreeAt(now))
-			}
-			dram := jobDRAMBytes(st.job)
-			if dram > 0 && nodes[pl.Node].DRAMBytes > 0 && nodes[pl.Node].DRAMFreeAt(now) < dram {
-				return nil, fmt.Errorf("cluster: policy %s overcommitted node %d DRAM with job %d (%g bytes demanded, %g free)",
-					opt.Policy.Name(), pl.Node, pl.JobID, dram, nodes[pl.Node].DRAMFreeAt(now))
-			}
-			dur, err := estimateJob(opt.Estimator, st.job, pl.Config)
-			if err != nil {
-				return nil, fmt.Errorf("cluster: executing job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
-			}
-			remaining := dur - st.credit // checkpoint credit resumes mid-job
-			if remaining < 0 {
-				remaining = 0
-			}
-			st.started = true
-			st.attempts++
-			st.node = pl.Node
-			st.cfg = pl.Config.Label()
-			st.start = now
-			st.duration = dur
-			st.end = now + remaining
-			if avoid != nil {
-				avoid[pl.JobID] = -1
-			}
-			if iv.Enabled {
-				prof, err := profileJob(opt.Estimator, st.job, pl.Config)
-				if err != nil {
-					return nil, fmt.Errorf("cluster: profiling job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
-				}
-				st.profile = prof
-				st.progress = st.credit
-				st.lastAt = now
-				// rate stays 0: the reflow below rates the newcomer and
-				// posts its first completion event.
-				nodes[pl.Node].place(st.job.ID, st.job.Workflow.Ranks, st.end, dram, prof)
-				if incremental {
-					dirty.mark(pl.Node, prof.DeviceSocket)
-				}
-			} else {
-				nodes[pl.Node].place(st.job.ID, st.job.Workflow.Ranks, st.end, dram, JobProfile{})
-				events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
-			}
-			if remaining > 0 {
-				if idx != nil {
-					idx.place(pl.Node, st.job.Workflow.Ranks)
-				}
-				occ[pl.Node] += st.job.Workflow.Ranks
-			}
-			pending = removeJob(pending, st.job.ID)
-		}
-		if iv.Enabled && len(placements) > 0 {
-			// Newcomers changed residency: re-rate everyone again.
-			if incremental {
-				reflowDirty(now, nodes, states, &events, iv, &dirty)
-			} else {
-				reflow(now, nodes, states, &events, iv)
-			}
-		}
-		if opt.LinearScan {
-			m.sample(now, nodes)
-		} else {
-			m.sampleOcc(now, occ)
-		}
-		if srcDone && finished == len(states) {
+		m.sample(now, e.occ)
+		if e.src == nil && e.finished == len(e.states) {
 			// Every job has completed or permanently failed. Leaving now
 			// (instead of draining the heap) is what terminates a random
 			// failure schedule, whose node events would otherwise repost
@@ -543,97 +576,95 @@ func simulate(src jobSource, opt Options, cores int) (*Metrics, error) {
 		}
 	}
 
-	if len(pending) > 0 {
-		return nil, fmt.Errorf("cluster: policy %s stalled with %d jobs queued and the cluster idle", opt.Policy.Name(), len(pending))
+	if len(e.pending) > 0 {
+		return nil, fmt.Errorf("cluster: policy %s stalled with %d jobs queued and the cluster idle", opt.Policy.Name(), len(e.pending))
 	}
 	if !fleet.SummaryOnly {
-		for _, st := range states {
+		for _, st := range e.states {
 			m.record(st)
 		}
 	}
+	m.Events, m.Passes = e.popped, e.passes
 	m.finish()
 	return m, nil
 }
 
 // reflow is the fluid step: integrate every running job's progress up
 // to now under its current rate, recompute rates from the current
-// residency, and for every job whose rate changed re-estimate its
-// completion, bump its epoch, and post a fresh completion event (the
-// old one, now stale, is skipped when it pops). Rates are pure
+// residency, and re-rate every job whose rate changed. Rates are pure
 // functions of the deterministic residency sets, so reflow preserves
 // the engine's bit-for-bit reproducibility.
-func reflow(now float64, nodes []*NodeView, states []*jobState, events *eventHeap, iv Interference) {
-	for _, n := range nodes {
+//
+// Under Fleet.IncrementalReflow it is socket-local instead: only nodes
+// whose residency changed since the last reflow are touched, and on
+// each only the residents streaming through a changed socket — demand
+// on one socket never moves rates on the other, and a node nothing
+// happened on cannot have changed at all. Progress then integrates
+// lazily (one multiply per rate change instead of one per cluster
+// event), which is why that mode is opt-in: the telescoped sums agree
+// with the full reflow only up to floating-point association, so
+// byte-level goldens pin the full path.
+func (e *engine) reflow(now float64) {
+	if e.incremental {
+		d := &e.dirty
+		sort.Ints(d.list) // deterministic node order regardless of mark order
+		for _, id := range d.list {
+			n := e.nodes[id]
+			mask := d.mask[id]
+			d.mask[id] = 0
+			rates := n.socketRates(e.opt.Interference)
+			for i := range n.Running {
+				st := e.states[n.Running[i].JobID]
+				if mask&(1<<uint(st.profile.DeviceSocket&1)) == 0 {
+					continue // the job's socket saw no demand change
+				}
+				if st.rate > 0 {
+					st.progress += (now - st.lastAt) * st.rate
+				}
+				st.lastAt = now
+				if rate := rates(st.profile); rate != st.rate {
+					e.rerate(now, st, &n.Running[i], rate)
+				}
+			}
+		}
+		d.list = d.list[:0]
+		return
+	}
+	for _, n := range e.nodes {
 		for i := range n.Running {
-			st := states[n.Running[i].JobID]
+			st := e.states[n.Running[i].JobID]
 			if st.rate > 0 {
 				st.progress += (now - st.lastAt) * st.rate
 			}
 			st.lastAt = now
 		}
 	}
-	for _, n := range nodes {
-		rates := n.socketRates(iv)
+	for _, n := range e.nodes {
+		rates := n.socketRates(e.opt.Interference)
 		for i := range n.Running {
-			st := states[n.Running[i].JobID]
-			rate := rates(st.profile)
-			if rate == st.rate {
-				continue
+			st := e.states[n.Running[i].JobID]
+			if rate := rates(st.profile); rate != st.rate {
+				e.rerate(now, st, &n.Running[i], rate)
 			}
-			st.rate = rate
-			remaining := st.duration - st.progress
-			if remaining < 0 {
-				remaining = 0
-			}
-			st.end = now + remaining/rate
-			st.epoch++
-			n.Running[i].EndSeconds = st.end
-			events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
 		}
 	}
 }
 
-// reflowDirty is the socket-local incremental reflow (Options.Fleet):
-// only nodes whose residency changed since the last reflow are
-// touched, and on each only the residents streaming through a changed
-// socket — demand on one socket never moves rates on the other, and a
-// node nothing happened on cannot have changed at all. Progress
-// integrates lazily (one multiply per rate change instead of one per
-// cluster event), which is why this mode is opt-in: the telescoped
-// sums agree with the full reflow only up to floating-point
-// association, so byte-level goldens pin the full path.
-func reflowDirty(now float64, nodes []*NodeView, states []*jobState, events *eventHeap, iv Interference, d *dirtyNodes) {
-	sort.Ints(d.list) // deterministic node order regardless of mark order
-	for _, id := range d.list {
-		n := nodes[id]
-		mask := d.mask[id]
-		d.mask[id] = 0
-		rates := n.socketRates(iv)
-		for i := range n.Running {
-			st := states[n.Running[i].JobID]
-			if mask&(1<<uint(st.profile.DeviceSocket&1)) == 0 {
-				continue // the job's socket saw no demand change
-			}
-			if st.rate > 0 {
-				st.progress += (now - st.lastAt) * st.rate
-			}
-			st.lastAt = now
-			rate := rates(st.profile)
-			if rate == st.rate {
-				continue
-			}
-			st.rate = rate
-			remaining := st.duration - st.progress
-			if remaining < 0 {
-				remaining = 0
-			}
-			st.end = now + remaining/rate
-			st.epoch++
-			n.Running[i].EndSeconds = st.end
-			events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
-		}
+// rerate applies a resident's changed progress rate: the job's
+// completion is re-estimated from its remaining work, its epoch bumps
+// and a fresh completion event is posted (the old one, now stale, is
+// skipped when it pops). Callers compare rates first, so the common
+// unchanged case costs no call.
+func (e *engine) rerate(now float64, st *jobState, r *RunningJob, rate float64) {
+	st.rate = rate
+	remaining := st.duration - st.progress
+	if remaining < 0 {
+		remaining = 0
 	}
-	d.list = d.list[:0]
+	st.end = now + remaining/rate
+	st.epoch++
+	r.EndSeconds = st.end
+	e.events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
 }
 
 // kill handles one resident job on a failing node: integrate its
@@ -648,9 +679,9 @@ func reflowDirty(now float64, nodes []*NodeView, states []*jobState, events *eve
 // noFitSeconds) used to produce a +Inf arrival time, which poisoned
 // every derived metric and made the JSON export fail outright. A job
 // whose requeue time is unrepresentable now fails permanently instead.
-func kill(st *jobState, retry RetryPolicy, iv Interference, now float64, avoid []int, events *eventHeap) bool {
+func (e *engine) kill(st *jobState, now float64) bool {
 	achieved := st.credit + (now - st.start)
-	if iv.Enabled {
+	if e.opt.Interference.Enabled {
 		// Fluid progress is exact: integrate to the failure instant under
 		// the rate that held since the last residency change.
 		if st.rate > 0 {
@@ -662,38 +693,26 @@ func kill(st *jobState, retry RetryPolicy, iv Interference, now float64, avoid [
 	if achieved > st.duration {
 		achieved = st.duration
 	}
-	st.credit = retry.credit(achieved)
+	st.credit = e.retry.credit(achieved)
 	st.wasted += achieved - st.credit
-	st.started = false
+	st.phase = JobFuture
 	st.rate = 0
 	st.epoch++ // any queued completion event for this attempt is now stale
-	requeue := now + retry.backoff(st.attempts)
-	if st.attempts >= retry.MaxAttempts || math.IsInf(requeue, 0) || isNoFit(requeue) {
+	requeue := now + e.retry.backoff(st.attempts)
+	if st.attempts >= e.retry.MaxAttempts || math.IsInf(requeue, 0) || isNoFit(requeue) {
 		// Out of attempts — or the next attempt is beyond the
 		// representable horizon: the job fails permanently and its banked
 		// checkpoints never pay off.
+		st.phase = JobDone
 		st.failed = true
 		st.end = now
 		st.wasted += st.credit
 		st.credit = 0
 		return true
 	}
-	avoid[st.job.ID] = st.node
-	events.add(event{at: requeue, kind: evArrive, job: st.job.ID})
+	e.avoid[st.job.ID] = st.node
+	e.events.add(event{at: requeue, kind: evArrive, job: st.job.ID})
 	return false
-}
-
-// snapshot deep-copies the node views so policies can tentatively
-// place jobs without touching the authoritative state — the
-// pre-fleet-engine path, kept for Options.LinearScan A/B runs (the
-// indexed engine hands policies a copy-on-write view instead).
-func snapshot(nodes []*NodeView) []*NodeView {
-	out := make([]*NodeView, len(nodes))
-	for i, n := range nodes {
-		out[i] = &NodeView{ID: n.ID, Cores: n.Cores, DRAMBytes: n.DRAMBytes, Running: append([]RunningJob(nil), n.Running...),
-			Down: n.Down, UpSeconds: n.UpSeconds}
-	}
-	return out
 }
 
 // removeJob drops the job from the pending queue preserving order.

@@ -98,18 +98,18 @@ func TestCapacityEdgeCases(t *testing.T) {
 	if got := busy.FreeAt(9.999); got != 0 {
 		t.Errorf("FreeAt just before the end = %d, want 0", got)
 	}
-	if got := busy.EarliestFit(10, 8); got != 10 {
+	if got := busy.EarliestFit(10, 8, 0); got != 10 {
 		t.Errorf("EarliestFit at the completion instant = %g, want 10", got)
 	}
-	if got := busy.EarliestFit(0, 8); got != 10 {
+	if got := busy.EarliestFit(0, 8, 0); got != 10 {
 		t.Errorf("EarliestFit scanning to the completion instant = %g, want 10", got)
 	}
-	if got := busy.EarliestFit(0, 9); !isNoFit(got) {
+	if got := busy.EarliestFit(0, 9, 0); !isNoFit(got) {
 		t.Errorf("EarliestFit for more ranks than cores = %g, want the no-fit sentinel", got)
 	}
 
 	empty := &NodeView{ID: 1, Cores: 8}
-	if got := empty.EarliestFit(3, 8); got != 3 {
+	if got := empty.EarliestFit(3, 8, 0); got != 3 {
 		t.Errorf("socket-wide job on an empty node: EarliestFit = %g, want now", got)
 	}
 
@@ -120,10 +120,10 @@ func TestCapacityEdgeCases(t *testing.T) {
 	if got := down.FreeAt(9.5); got != 0 {
 		t.Errorf("down node before repair: FreeAt(9.5) = %d, want 0", got)
 	}
-	if got := down.EarliestFit(10, 3); got != 10 {
+	if got := down.EarliestFit(10, 3, 0); got != 10 {
 		t.Errorf("down node with repair exactly at now: EarliestFit = %g, want now", got)
 	}
-	if got := down.EarliestFit(4, 3); got != 10 {
+	if got := down.EarliestFit(4, 3, 0); got != 10 {
 		t.Errorf("down node before repair: EarliestFit = %g, want the repair time", got)
 	}
 }
@@ -247,22 +247,13 @@ func TestZeroDurationPlacementIndexed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linOpt := opt
-	linOpt.LinearScan = true
-	linRun, err := Simulate(tr, linOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, l bytes.Buffer
-	if err := idxRun.WriteJSON(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := linRun.WriteJSON(&l); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), l.Bytes()) {
-		t.Fatal("indexed and linear engines diverged on a zero-duration placement")
-	}
+	checkLinearRef(t, "zero-duration", opt, idxRun, func(o Options) *Metrics {
+		m, err := Simulate(tr, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	})
 	if r := recordOf(t, idxRun, 1); r.StartSeconds != 0 {
 		t.Errorf("follower started at %g, want 0 (co-placed with the zero-duration job)", r.StartSeconds)
 	}

@@ -215,10 +215,10 @@ func TestEarliestFitAfterMultipleCompletions(t *testing.T) {
 	n := &NodeView{ID: 0, Cores: 6}
 	n.place(0, 4, 10, 0, JobProfile{})
 	n.place(1, 2, 6, 0, JobProfile{})
-	if got := n.EarliestFit(1, 6); got != 10 {
+	if got := n.EarliestFit(1, 6, 0); got != 10 {
 		t.Errorf("EarliestFit = %g, want 10", got)
 	}
-	if got := n.EarliestFit(1, 2); got != 6 {
+	if got := n.EarliestFit(1, 2, 0); got != 6 {
 		t.Errorf("EarliestFit(2 ranks) = %g, want 6", got)
 	}
 }

@@ -132,37 +132,11 @@ func newMetrics(policy string, nodes, cores int, bound float64, interference, fa
 	}
 }
 
-// integrate accrues busy core-seconds for the interval [from, to) under
-// the node occupancy that held throughout it.
-func (m *Metrics) integrate(nodes []*NodeView, from, to float64) {
-	if to <= from {
-		return
-	}
-	for i, n := range nodes {
-		m.busy[i] += float64(n.Cores-n.FreeAt(from)) * (to - from)
-	}
-}
-
-// sample records the post-scheduling occupancy at an event time.
-func (m *Metrics) sample(now float64, nodes []*NodeView) {
-	if m.summaryOnly {
-		return
-	}
-	s := Sample{TimeSeconds: now, CoresInUse: make([]int, len(nodes))}
-	for i, n := range nodes {
-		s.CoresInUse[i] = n.Cores - n.FreeAt(now)
-	}
-	if m.dedup && m.sameAsLast(s.CoresInUse) {
-		return
-	}
-	m.Series = append(m.Series, s)
-}
-
-// integrateOcc is integrate fed from the engine's incrementally
-// maintained occupancy array instead of rescanning resident lists:
-// occ[i] holds exactly Cores - FreeAt(from) (a down node counts as
-// fully busy), so the accrued values are bit-identical.
-func (m *Metrics) integrateOcc(occ []int, from, to float64) {
+// integrate accrues busy core-seconds for the interval [from, to)
+// under the occupancy that held throughout it. occ is the engine's
+// incrementally maintained occupancy array: occ[i] holds exactly
+// Cores - FreeAt(from) (a down node counts as fully busy).
+func (m *Metrics) integrate(occ []int, from, to float64) {
 	if to <= from {
 		return
 	}
@@ -171,8 +145,8 @@ func (m *Metrics) integrateOcc(occ []int, from, to float64) {
 	}
 }
 
-// sampleOcc is sample fed from the occupancy array.
-func (m *Metrics) sampleOcc(now float64, occ []int) {
+// sample records the post-scheduling occupancy at an event time.
+func (m *Metrics) sample(now float64, occ []int) {
 	if m.summaryOnly {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"pmemsched/internal/core"
@@ -74,6 +75,140 @@ func simulateFresh(t *testing.T, seed int64, opt Options) (*Metrics, Trace) {
 		t.Fatal(err)
 	}
 	return m, tr
+}
+
+// linearRef is the brute-force reference for the engine's fleet-scale
+// shortcuts, wrapped around a policy. At the start of every pass it
+// checks the free-capacity index against scans of the node views (each
+// node's free cores and the first-fit answer for every rank count).
+// It then hides the index, so every capacity query the policy makes
+// takes the linear node scan, and swaps the copy-on-write view for
+// private deep copies, so tentative placements land on nodes the
+// engine never reads. After the policy returns it records each node's
+// Cores - FreeAt(Now) under the pass's placements.
+type linearRef struct {
+	t     *testing.T
+	inner Policy
+	occ   [][]int // per pass: the node-scan occupancy after its placements
+}
+
+func (r *linearRef) Name() string { return r.inner.Name() }
+
+func (r *linearRef) Schedule(ctx *SchedContext) ([]Placement, error) {
+	for _, n := range ctx.Nodes {
+		if got, want := ctx.idx.free[n.ID], n.FreeAt(ctx.Now); got != want {
+			r.t.Errorf("t=%g: index holds %d free cores on node %d, node scan %d", ctx.Now, got, n.ID, want)
+		}
+	}
+	for ranks := 0; ranks <= ctx.idx.cores; ranks++ {
+		if got, want := ctx.idx.firstFit(ranks), ctx.fitsLinear(ranks, -1); got != want {
+			r.t.Errorf("t=%g: index first fit for %d ranks is node %d, node scan %d", ctx.Now, ranks, got, want)
+		}
+	}
+	ctx.idx = nil
+	private := make([]*NodeView, len(ctx.Nodes))
+	for i, n := range ctx.Nodes {
+		cl := *n
+		cl.Running = append([]RunningJob(nil), n.Running...)
+		private[i] = &cl
+	}
+	ctx.Nodes, ctx.owned = private, nil
+	placed, err := r.inner.Schedule(ctx)
+	row := make([]int, len(ctx.Nodes))
+	for i, n := range ctx.Nodes {
+		row[i] = n.Cores - n.FreeAt(ctx.Now)
+	}
+	r.occ = append(r.occ, row)
+	return placed, err
+}
+
+// checkLinearRef reruns opt under linearRef and demands the indexed
+// run's report bytes, plus a utilization series — sampled from the
+// engine's incrementally kept occupancy array — equal to the
+// reference's node scans pass by pass. opt must not dedup samples or
+// drop the series.
+func checkLinearRef(t *testing.T, label string, opt Options, indexed *Metrics, run func(Options) *Metrics) {
+	t.Helper()
+	ref := &linearRef{t: t, inner: opt.Policy}
+	opt.Policy = ref
+	if err := linearRefMismatch(indexed, run(opt), ref); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// linearRefMismatch compares an indexed run with its linearRef rerun.
+func linearRefMismatch(indexed, lin *Metrics, ref *linearRef) error {
+	var want, got bytes.Buffer
+	if err := indexed.WriteJSON(&want); err != nil {
+		return err
+	}
+	if err := lin.WriteJSON(&got); err != nil {
+		return err
+	}
+	if !bytes.Equal(want.Bytes(), got.Bytes()) {
+		return fmt.Errorf("indexed and linear-reference runs produced different report bytes")
+	}
+	if len(lin.Series) != len(ref.occ) {
+		return fmt.Errorf("%d utilization samples for %d passes", len(lin.Series), len(ref.occ))
+	}
+	for i, s := range lin.Series {
+		if !reflect.DeepEqual(s.CoresInUse, ref.occ[i]) {
+			return fmt.Errorf("pass %d at t=%g: occupancy array %v, node scan %v", i, s.TimeSeconds, s.CoresInUse, ref.occ[i])
+		}
+	}
+	return nil
+}
+
+// cowLeak is a policy wrapper that breaks the engine's copy-on-write
+// view the way a faulty clone would: it marks every node as already
+// cloned, so the policy's tentative placements write straight into the
+// engine's authoritative nodes.
+type cowLeak struct{ inner Policy }
+
+func (c cowLeak) Name() string { return c.inner.Name() }
+
+func (c cowLeak) Schedule(ctx *SchedContext) ([]Placement, error) {
+	for i := range ctx.owned {
+		ctx.owned[i] = true
+	}
+	return c.inner.Schedule(ctx)
+}
+
+// TestLinearRefCatchesCOWLeak: the reference runs the policy on
+// private node copies, so a copy-on-write leak — tentative placements
+// reaching the engine's nodes, where the commit then places each job a
+// second time — cannot reach the reference run, which still matches a
+// clean indexed run, while the leaky indexed run departs from it.
+func TestLinearRefCatchesCOWLeak(t *testing.T) {
+	small, big := workloads.GTCReadOnly(4), workloads.GTCReadOnly(12)
+	est := fakeEst{dur: map[string]float64{small.Name: 10, big.Name: 5}}
+	// The small job takes 4 of 16 cores at t=0 and the big one needs
+	// 12 at t=1: it fits at once unless a leaked copy of the small job
+	// holds 4 more cores.
+	tr := Trace{Jobs: []Job{
+		{ID: 0, Workflow: small, ArrivalSeconds: 0},
+		{ID: 1, Workflow: big, ArrivalSeconds: 1},
+	}}
+	opt := Options{Nodes: 1, CoresPerSocket: 16, Policy: FCFS(core.SLocW), Estimator: est}
+	clean, err := Simulate(tr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := &linearRef{t: t, inner: cowLeak{opt.Policy}}
+	lin, err := Simulate(tr, Options{Nodes: 1, CoresPerSocket: 16, Policy: ref, Estimator: est})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := linearRefMismatch(clean, lin, ref); err != nil {
+		t.Fatalf("the leak reached the reference run: %v", err)
+	}
+	leaky, err := Simulate(tr, Options{Nodes: 1, CoresPerSocket: 16, Policy: cowLeak{opt.Policy}, Estimator: est})
+	if err == nil {
+		err = linearRefMismatch(leaky, lin, ref)
+	}
+	if err == nil {
+		t.Fatal("the leaky indexed run matched the reference")
+	}
 }
 
 func checkInvariants(t *testing.T, label string, m *Metrics, tr Trace, opt Options) {
@@ -213,19 +348,12 @@ func TestPropertyRandomTraces(t *testing.T) {
 					t.Fatalf("%s: fresh rerun produced different report bytes", label)
 				}
 
-				// The indexed free-capacity view must be an exact drop-in for
-				// the linear all-nodes scan: rerun under LinearScan and
-				// demand byte-identical reports.
-				linOpt := opt
-				linOpt.LinearScan = true
-				lin, _ := simulateFresh(t, seed, linOpt)
-				var linear bytes.Buffer
-				if err := lin.WriteJSON(&linear); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(first.Bytes(), linear.Bytes()) {
-					t.Fatalf("%s: indexed and linear-scan engines produced different report bytes", label)
-				}
+				// The indexed free-capacity view and the occupancy array must
+				// be exact drop-ins for the linear all-nodes scans.
+				checkLinearRef(t, label, opt, m, func(o Options) *Metrics {
+					lin, _ := simulateFresh(t, seed, o)
+					return lin
+				})
 
 				// The fleet options trade byte-compatibility for bounded
 				// per-event work, not correctness: the same sim under

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -17,49 +16,42 @@ import (
 // Simulate consumes a whole trace and returns a report; a scheduling
 // service instead accumulates state across many requests: nodes
 // register one at a time, jobs are submitted whenever clients show up,
-// and schedules are queried between submissions. State is that store —
-// the same NodeView capacity model, the same pluggable policies, the
-// same memoized Estimator, and the same bucketed free-capacity index
-// (grown in place as nodes register), driven by explicit calls instead
-// of an event heap. The virtual clock only moves through AdvanceTo, so
-// the store stays fully deterministic: an identical call sequence
-// produces identical placements, byte for byte.
+// and schedules are queried between submissions. State is that store:
+// a second driver over the batch engine's event loop (engine.go), so
+// it shares the NodeView capacity model, the pluggable policies, the
+// memoized Estimator, the free-capacity index (grown in place as nodes
+// register), the checks on policy output and, when enabled, the
+// interference model. Jobs submitted for a later time park as arrival
+// events. The virtual clock only moves through AdvanceTo, so the store
+// stays fully deterministic: an identical call sequence produces
+// identical placements, byte for byte.
 //
-// Semantics match the fixed-duration engine (interference and fault
-// models are not modeled here): TestStateMatchesSimulate replays
-// traces through both and demands identical per-job placements. The
-// one deliberate difference is that a queue with no registered nodes
-// waits instead of erroring — a service may see jobs before its fleet.
+// TestStateMatchesSimulate replays traces through both drivers and
+// demands identical per-job placements and completion order. Two
+// deliberate differences remain: a queue with no registered nodes
+// waits instead of erroring (a service may see jobs before its fleet),
+// and the store does not model node faults — its fleet is whatever
+// registered, with no failure schedule over it.
 
 // stateCandidateCap bounds the per-placement candidate list recorded
 // for the decision API's filter phase; a thousand-node fleet should
 // not echo a thousand IDs per placement.
 const stateCandidateCap = 16
 
-// StateOptions configures an incremental store.
-type StateOptions struct {
-	// Policy decides placements at every Schedule/AdvanceTo pass.
-	Policy Policy
-	// Estimator is the cost model (typically NewEstimator over a shared
-	// core.Runner — the daemon's decision cache).
-	Estimator Estimator
-	// CoresPerSocket overrides the per-socket capacity of registered
-	// nodes; 0 derives it from the testbed machine.
-	CoresPerSocket int
-}
-
 // JobPhase is a submitted job's lifecycle position.
 type JobPhase string
 
 const (
 	// JobFuture jobs are submitted with an arrival the clock has not
-	// reached yet.
+	// reached yet (in a batch run, also a killed job waiting out its
+	// retry backoff).
 	JobFuture JobPhase = "future"
 	// JobQueued jobs have arrived and wait for capacity.
 	JobQueued JobPhase = "queued"
 	// JobRunning jobs occupy cores on their node.
 	JobRunning JobPhase = "running"
-	// JobDone jobs have completed.
+	// JobDone jobs have completed (or, in a batch run with faults,
+	// permanently failed).
 	JobDone JobPhase = "done"
 )
 
@@ -103,140 +95,106 @@ type Step struct {
 	Completed []JobStatus
 }
 
-// stateJob is the store-side record of one submitted job.
-type stateJob struct {
-	job      Job
-	phase    JobPhase
-	node     int
-	cfg      string
-	start    float64
-	end      float64
-	duration float64
-}
-
-// endHeap orders pending completions by (end time, job ID) — the exact
-// order the batch engine's event heap applies completions in.
-type endEntry struct {
-	end float64
-	id  int
-}
-
-type endHeap []endEntry
-
-func (h endHeap) Len() int { return len(h) }
-func (h endHeap) Less(a, b int) bool {
-	if h[a].end != h[b].end {
-		return h[a].end < h[b].end
-	}
-	return h[a].id < h[b].id
-}
-func (h endHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *endHeap) Push(x any)   { *h = append(*h, x.(endEntry)) }
-func (h *endHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 // State is the incremental store. It is not safe for concurrent use;
 // the daemon serializes access (one store mutation at a time is also
 // what keeps the decision log reproducible).
 type State struct {
-	policy Policy
-	est    Estimator
-	cores  int
-
-	now     float64
-	nodes   []*NodeView
-	idx     *freeIndex
-	jobs    []*stateJob
-	future  []int // submitted, arrival > now; sorted by (arrival, ID)
-	queue   []Job // arrived, waiting; queue (arrival event) order
-	ends    endHeap
-	done    int
-	running int
+	e   *engine
+	now float64
+	rec Step // what the Schedule or AdvanceTo call in progress changed
+	// placedBy[i] is the job of rec.Placed[i]. Its EndSeconds is read
+	// once the placing step returns: under interference the step's
+	// closing reflow rates the newcomer after commit.
+	placedBy []*jobState
 }
 
-// NewState builds an empty store: no nodes, no jobs, clock at zero.
-func NewState(opt StateOptions) (*State, error) {
-	if opt.Policy == nil {
-		return nil, fmt.Errorf("cluster: no scheduling policy")
+// NewState builds a store over opt.Nodes nodes (0 for a store whose
+// nodes register later through AddNode), with no jobs and the clock at
+// zero. The store ignores the metrics-only FleetOptions and rejects a
+// fault model.
+func NewState(opt Options) (*State, error) {
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
-	if opt.Estimator == nil {
-		return nil, fmt.Errorf("cluster: no estimator")
+	if opt.Faults.Enabled {
+		return nil, fmt.Errorf("cluster: the placement store does not model node faults")
 	}
-	if opt.CoresPerSocket < 0 {
-		return nil, fmt.Errorf("cluster: negative cores per socket")
+	e, err := newEngine(opt)
+	if err != nil {
+		return nil, err
 	}
-	cores := Options{CoresPerSocket: opt.CoresPerSocket}.coresPerSocket()
-	return &State{
-		policy: opt.Policy,
-		est:    opt.Estimator,
-		cores:  cores,
-		idx:    newFreeIndex(0, cores),
-	}, nil
+	s := &State{e: e}
+	e.finish = func(st *jobState) {
+		s.rec.Completed = append(s.rec.Completed, s.status(st))
+	}
+	e.placed = func(st *jobState, pl Placement) {
+		s.rec.Placed = append(s.rec.Placed, Placed{
+			JobID:           pl.JobID,
+			Node:            pl.Node,
+			Config:          pl.Config,
+			StartSeconds:    st.start,
+			DurationSeconds: st.duration,
+			// Read against the pre-commit index: the filter input of this
+			// pass, before this placement consumes capacity.
+			Candidates: s.candidates(st.job.Workflow.Ranks, stateCandidateCap),
+		})
+		s.placedBy = append(s.placedBy, st)
+	}
+	return s, nil
 }
 
 // Now returns the store's virtual clock.
 func (s *State) Now() float64 { return s.now }
 
 // CoresPerSocket returns the per-socket capacity of every node.
-func (s *State) CoresPerSocket() int { return s.cores }
+func (s *State) CoresPerSocket() int { return s.e.cores }
 
 // PolicyName returns the configured policy's name.
-func (s *State) PolicyName() string { return s.policy.Name() }
+func (s *State) PolicyName() string { return s.e.opt.Policy.Name() }
 
 // AddNode registers one fresh node and returns its ID. Nodes are
 // homogeneous (the store's CoresPerSocket); they join empty and
 // immediately schedulable.
-func (s *State) AddNode() int {
-	id := s.idx.add()
-	s.nodes = append(s.nodes, &NodeView{ID: id, Cores: s.cores})
-	return id
-}
+func (s *State) AddNode() int { return s.e.addNode() }
 
 // Submit registers a job. An arrival before the current clock is
 // clamped to it (an online service cannot accept work in the past);
-// an arrival beyond it parks the job in the future set until AdvanceTo
-// reaches it. The job is validated against the store's node shape.
+// an arrival beyond it parks the job as an arrival event until
+// AdvanceTo reaches it. The job is validated against the store's node
+// shape, and a non-finite arrival is rejected.
 func (s *State) Submit(wf workflow.Spec, arrival float64) (int, error) {
 	if err := wf.Validate(); err != nil {
 		return 0, err
 	}
-	if wf.Ranks > s.cores {
-		return 0, fmt.Errorf("cluster: job %q needs %d ranks but nodes have %d cores per socket",
-			wf.Name, wf.Ranks, s.cores)
+	if err := checkFiniteArrival(arrival); err != nil {
+		return 0, fmt.Errorf("cluster: job %q: %w", wf.Name, err)
 	}
 	if arrival < s.now {
 		arrival = s.now
 	}
-	id := len(s.jobs)
-	j := Job{ID: id, Workflow: wf, ArrivalSeconds: arrival}
-	st := &stateJob{job: j, node: -1}
-	s.jobs = append(s.jobs, st)
+	j := Job{ID: len(s.e.states), Workflow: wf, ArrivalSeconds: arrival}
+	if err := checkFits(j, s.e.cores, s.e.opt.DRAMBytesPerNode); err != nil {
+		return 0, fmt.Errorf("cluster: job %q %w", wf.Name, err)
+	}
+	st := s.e.addJob(j)
 	if arrival > s.now {
-		st.phase = JobFuture
-		// IDs grow monotonically, so a binary search by (arrival, ID)
-		// keeps the future set sorted with one insertion.
-		at := sort.Search(len(s.future), func(i int) bool {
-			o := s.jobs[s.future[i]]
-			return o.job.ArrivalSeconds > arrival
-		})
-		s.future = append(s.future, 0)
-		copy(s.future[at+1:], s.future[at:])
-		s.future[at] = id
+		s.e.events.add(event{at: arrival, kind: evArrive, job: j.ID})
 	} else {
 		st.phase = JobQueued
-		s.queue = append(s.queue, j)
+		s.e.pending = append(s.e.pending, j)
 	}
-	return id, nil
+	return j.ID, nil
 }
 
 // Job returns the status of a submitted job.
 func (s *State) Job(id int) (JobStatus, bool) {
-	if id < 0 || id >= len(s.jobs) {
+	if id < 0 || id >= len(s.e.states) {
 		return JobStatus{}, false
 	}
-	return s.status(s.jobs[id]), true
+	return s.status(s.e.states[id]), true
 }
 
-func (s *State) status(st *stateJob) JobStatus {
+func (s *State) status(st *jobState) JobStatus {
 	js := JobStatus{
 		ID:             st.job.ID,
 		Name:           st.job.Workflow.Name,
@@ -255,28 +213,24 @@ func (s *State) status(st *stateJob) JobStatus {
 	return js
 }
 
-// Candidates returns the nodes that currently have capacity for ranks
-// cores, ascending ID, capped at limit (limit <= 0 selects the default
-// cap) — the decision API's standalone filter query.
-func (s *State) Candidates(ranks, limit int) []int {
-	if limit <= 0 {
-		limit = stateCandidateCap
-	}
+// candidates returns the nodes that currently have capacity for ranks
+// cores, ascending ID, capped at limit: the filter-phase evidence each
+// Placed carries.
+func (s *State) candidates(ranks, limit int) []int {
 	var out []int
-	s.idx.eachFit(ranks, -1, func(id int) bool {
+	s.e.idx.eachFit(ranks, -1, func(id int) bool {
 		out = append(out, id)
 		return len(out) < limit
 	})
 	return out
 }
 
-// Schedule runs scheduling passes at the current instant until the
-// store is quiescent (zero-duration placements complete and reschedule
-// at the same instant, exactly as the batch engine's event loop does)
-// and returns what changed. With no registered nodes the queue simply
-// waits.
+// Schedule consults the policy at the current instant and runs the
+// engine until the instant is quiescent (zero-duration placements
+// complete and reschedule at the same instant), returning what
+// changed. With no registered nodes the queue simply waits.
 func (s *State) Schedule() (Step, error) {
-	return s.settle()
+	return s.run(s.now)
 }
 
 // ErrInvalidAdvance tags AdvanceTo targets the store must refuse:
@@ -286,10 +240,10 @@ func (s *State) Schedule() (Step, error) {
 // get an error they can map to a client fault (errors.Is).
 var ErrInvalidAdvance = errors.New("invalid advance target")
 
-// AdvanceTo moves the virtual clock to t, applying completions and
-// parked arrivals in event order (completions before arrivals at equal
-// times, ties by job ID — the batch engine's ordering) and consulting
-// the policy after every instant's events.
+// AdvanceTo moves the virtual clock to t: a Schedule at the current
+// instant, then every event due by t in the engine's order
+// (completions before arrivals at equal times, ties by job ID), with
+// the policy consulted after every instant's events.
 func (s *State) AdvanceTo(t float64) (Step, error) {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
 		return Step{}, fmt.Errorf("cluster: %w: non-finite time %g", ErrInvalidAdvance, t)
@@ -297,171 +251,40 @@ func (s *State) AdvanceTo(t float64) (Step, error) {
 	if t < s.now {
 		return Step{}, fmt.Errorf("cluster: %w: cannot advance the clock backwards (now %g, asked %g)", ErrInvalidAdvance, s.now, t)
 	}
-	acc, err := s.settle()
-	if err != nil {
-		return acc, err
+	step, err := s.run(t)
+	if err == nil {
+		s.now = t
 	}
-	for {
-		next, ok := s.nextEvent()
-		if !ok || next > t {
+	return step, err
+}
+
+// run forces one pass at the current instant, then steps the engine
+// through every event due by until, and returns what changed.
+func (s *State) run(until float64) (Step, error) {
+	s.rec, s.placedBy = Step{}, s.placedBy[:0]
+	err := s.step(true)
+	for err == nil {
+		ev, ok := s.e.events.peek()
+		if !ok || ev.at > until {
 			break
 		}
-		s.now = next
-		step, err := s.settle()
-		acc.Placed = append(acc.Placed, step.Placed...)
-		acc.Completed = append(acc.Completed, step.Completed...)
-		if err != nil {
-			return acc, err
-		}
+		s.now = ev.at
+		err = s.step(false)
 	}
-	s.now = t
-	return acc, nil
+	step := s.rec
+	s.rec = Step{}
+	return step, err
 }
 
-// nextEvent returns the earliest pending event time: the next
-// completion or the next parked arrival.
-func (s *State) nextEvent() (float64, bool) {
-	at, ok := 0.0, false
-	if len(s.ends) > 0 {
-		at, ok = s.ends[0].end, true
+// step runs one engine instant at the clock and stamps the end times
+// of the jobs it placed.
+func (s *State) step(force bool) error {
+	from := len(s.rec.Placed)
+	_, err := s.e.step(s.now, force)
+	for i := from; i < len(s.rec.Placed); i++ {
+		s.rec.Placed[i].EndSeconds = s.placedBy[i].end
 	}
-	if len(s.future) > 0 {
-		if a := s.jobs[s.future[0]].job.ArrivalSeconds; !ok || a < at {
-			at, ok = a, true
-		}
-	}
-	return at, ok
-}
-
-// settle drains everything due at the current instant: retire
-// completions, admit arrivals, run a policy pass, and repeat until an
-// iteration changes nothing (a zero-duration placement completes at
-// the same instant and triggers another pass, as in the engine).
-func (s *State) settle() (Step, error) {
-	var acc Step
-	for {
-		completed := s.retireDue()
-		arrived := s.admitDue()
-		placed, err := s.pass()
-		acc.Completed = append(acc.Completed, completed...)
-		acc.Placed = append(acc.Placed, placed...)
-		if err != nil {
-			return acc, err
-		}
-		if len(completed) == 0 && arrived == 0 && len(placed) == 0 {
-			return acc, nil
-		}
-	}
-}
-
-// retireDue completes every running job whose end time has been
-// reached, in (end, ID) order.
-func (s *State) retireDue() []JobStatus {
-	var out []JobStatus
-	for len(s.ends) > 0 && s.ends[0].end <= s.now {
-		e := heap.Pop(&s.ends).(endEntry)
-		st := s.jobs[e.id]
-		st.phase = JobDone
-		s.nodes[st.node].remove(e.id)
-		if st.end > st.start { // zero-duration placements never occupied cores
-			s.idx.remove(st.node, st.job.Workflow.Ranks)
-		}
-		s.running--
-		s.done++
-		out = append(out, s.status(st))
-	}
-	return out
-}
-
-// admitDue moves parked future jobs whose arrival has been reached
-// into the queue, in (arrival, ID) order, and reports how many moved.
-func (s *State) admitDue() int {
-	n := 0
-	for len(s.future) > 0 {
-		st := s.jobs[s.future[0]]
-		if st.job.ArrivalSeconds > s.now {
-			break
-		}
-		st.phase = JobQueued
-		s.queue = append(s.queue, st.job)
-		s.future = s.future[1:]
-		n++
-	}
-	return n
-}
-
-// pass consults the policy once over the current queue and commits the
-// returned placements, mirroring the engine's indexed scheduling pass:
-// copy-on-write node views, journaled index updates rolled back after
-// the policy returns, then committed placements re-applied to the
-// authoritative state.
-func (s *State) pass() ([]Placed, error) {
-	if len(s.queue) == 0 || len(s.nodes) == 0 {
-		return nil, nil
-	}
-	view := make([]*NodeView, len(s.nodes))
-	copy(view, s.nodes)
-	owned := make([]bool, len(s.nodes))
-	s.idx.begin()
-	ctx := &SchedContext{
-		Now:   s.now,
-		Queue: append([]Job(nil), s.queue...),
-		Nodes: view,
-		Est:   s.est,
-		idx:   s.idx,
-		owned: owned,
-	}
-	placements, err := s.policy.Schedule(ctx)
-	s.idx.rollback()
-	if err != nil {
-		return nil, err
-	}
-	var placed []Placed
-	for _, pl := range placements {
-		if pl.JobID < 0 || pl.JobID >= len(s.jobs) || s.jobs[pl.JobID].phase != JobQueued {
-			return placed, fmt.Errorf("cluster: policy %s placed unknown or non-queued job %d", s.policy.Name(), pl.JobID)
-		}
-		if pl.Node < 0 || pl.Node >= len(s.nodes) {
-			return placed, fmt.Errorf("cluster: policy %s placed job %d on unknown node %d", s.policy.Name(), pl.JobID, pl.Node)
-		}
-		st := s.jobs[pl.JobID]
-		ranks := st.job.Workflow.Ranks
-		if s.nodes[pl.Node].FreeAt(s.now) < ranks {
-			return placed, fmt.Errorf("cluster: policy %s overcommitted node %d with job %d (%d ranks, %d cores free)",
-				s.policy.Name(), pl.Node, pl.JobID, ranks, s.nodes[pl.Node].FreeAt(s.now))
-		}
-		// The candidate list is read against the pre-commit index — the
-		// filter input of this pass, before this placement consumes
-		// capacity.
-		cands := s.Candidates(ranks, stateCandidateCap)
-		dur, err := estimateJob(s.est, st.job, pl.Config)
-		if err != nil {
-			return placed, fmt.Errorf("cluster: executing job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
-		}
-		st.phase = JobRunning
-		st.node = pl.Node
-		st.cfg = pl.Config.Label()
-		st.start = s.now
-		st.duration = dur
-		st.end = s.now + dur
-		s.nodes[pl.Node].place(st.job.ID, ranks, st.end, jobDRAMBytes(st.job), JobProfile{})
-		if dur > 0 {
-			s.idx.place(pl.Node, ranks)
-		}
-		heap.Push(&s.ends, endEntry{end: st.end, id: st.job.ID})
-		s.running++
-		s.queue = removeJob(s.queue, st.job.ID)
-		placed = append(placed, Placed{
-			JobID:           pl.JobID,
-			Node:            pl.Node,
-			Config:          pl.Config,
-			StartSeconds:    st.start,
-			EndSeconds:      st.end,
-			DurationSeconds: dur,
-			Candidates:      cands,
-		})
-	}
-	return placed, nil
+	return err
 }
 
 // NodeSnapshot is one node's state in a Snapshot.
@@ -499,24 +322,36 @@ type Snapshot struct {
 // nothing with the store, so the daemon can serialize it after
 // releasing its lock.
 func (s *State) Snapshot() Snapshot {
+	e := s.e
 	snap := Snapshot{
 		NowSeconds:     s.now,
-		Policy:         s.policy.Name(),
-		CoresPerSocket: s.cores,
-		Submitted:      len(s.jobs),
-		Running:        s.running,
-		Completed:      s.done,
-		Queue:          make([]int, 0, len(s.queue)),
-		Future:         append([]int(nil), s.future...),
+		Policy:         e.opt.Policy.Name(),
+		CoresPerSocket: e.cores,
+		Submitted:      len(e.states),
+		Completed:      e.finished,
+		Queue:          make([]int, 0, len(e.pending)),
 	}
-	for _, j := range s.queue {
+	for _, j := range e.pending {
 		snap.Queue = append(snap.Queue, j.ID)
 	}
-	for _, n := range s.nodes {
+	for _, ev := range e.events {
+		if ev.kind == evArrive {
+			snap.Future = append(snap.Future, ev.job)
+		}
+	}
+	sort.Slice(snap.Future, func(a, b int) bool {
+		x, y := e.states[snap.Future[a]].job, e.states[snap.Future[b]].job
+		if x.ArrivalSeconds != y.ArrivalSeconds {
+			return x.ArrivalSeconds < y.ArrivalSeconds
+		}
+		return x.ID < y.ID
+	})
+	for _, n := range e.nodes {
 		ns := NodeSnapshot{ID: n.ID, Cores: n.Cores, Free: n.FreeAt(s.now)}
 		for _, r := range n.Running {
 			ns.Running = append(ns.Running, NodeJob{JobID: r.JobID, Ranks: r.Ranks, EndSeconds: r.EndSeconds})
 		}
+		snap.Running += len(n.Running)
 		snap.Nodes = append(snap.Nodes, ns)
 	}
 	return snap

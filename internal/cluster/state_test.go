@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"pmemsched/internal/core"
@@ -10,81 +12,164 @@ import (
 	"pmemsched/internal/workloads"
 )
 
-// variedEst is a deterministic canned cost model whose durations and
-// recommendations vary by workflow and configuration, so the
-// State-vs-Simulate parity test exercises genuinely different
-// placements per policy without running real simulations.
+// variedEst is a deterministic canned cost model whose durations,
+// recommendations and PMEM demands vary by workflow and configuration,
+// so the State-vs-Simulate parity test exercises genuinely different
+// placements per policy — and real contention under the interference
+// model — without running real simulations.
 type variedEst struct{}
 
 func (variedEst) Estimate(wf workflow.Spec, cfg core.Config) (float64, error) {
 	base := float64(len(wf.Name)*7+wf.Ranks*13) / 3
-	for i, c := range core.Configs {
-		if c == cfg {
-			return base * (1 + float64(i)*0.25), nil
-		}
-	}
-	return base, nil
+	return base * (1 + float64(configIndex(cfg))*0.25), nil
 }
 
 func (variedEst) Recommend(wf workflow.Spec) (core.Config, error) {
 	return core.Configs[(len(wf.Name)+wf.Ranks)%len(core.Configs)], nil
 }
 
-func (variedEst) Profile(workflow.Spec, core.Config) (JobProfile, error) {
-	return JobProfile{}, nil
+func (variedEst) Profile(wf workflow.Spec, cfg core.Config) (JobProfile, error) {
+	k := float64(len(wf.Name) % 3)
+	return JobProfile{IOFraction: 0.6, ReadBytesPerSecond: 2e10 * k, WriteBytesPerSecond: 1e10 * k, DeviceSocket: configIndex(cfg) % 2}, nil
 }
 
-// replayThroughState submits every trace job into a fresh State (as a
-// future arrival) and advances past the horizon, returning the store.
-func replayThroughState(t *testing.T, tr Trace, pol Policy, nodes, cores int) *State {
+func configIndex(cfg core.Config) int {
+	for i, c := range core.Configs {
+		if c == cfg {
+			return i
+		}
+	}
+	return 0
+}
+
+// replayThroughState submits every trace job into a fresh State built
+// from opt (as a future arrival) and advances past the horizon,
+// returning the store and the completions in reported order.
+func replayThroughState(t *testing.T, tr Trace, opt Options) (*State, []JobStatus) {
 	t.Helper()
-	st, err := NewState(StateOptions{Policy: pol, Estimator: variedEst{}, CoresPerSocket: cores})
+	st, err := NewState(opt)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < nodes; i++ {
-		st.AddNode()
 	}
 	for _, j := range tr.Jobs {
 		if _, err := st.Submit(j.Workflow, j.ArrivalSeconds); err != nil {
 			t.Fatalf("submit job %d: %v", j.ID, err)
 		}
 	}
-	if _, err := st.AdvanceTo(math.MaxFloat64 / 2); err != nil {
+	step, err := st.AdvanceTo(math.MaxFloat64 / 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return st
+	return st, step.Completed
 }
 
 // TestStateMatchesSimulate: replaying a trace through the incremental
 // store must reproduce the batch engine's placements exactly — same
-// node, configuration, start and end per job, for every policy.
+// node, configuration, start and end per job, for every policy, with
+// the interference model off and on — and must report completions in
+// the engine's (end, ID) order.
 func TestStateMatchesSimulate(t *testing.T) {
 	tr, err := SuiteTrace(7, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pol := range []Policy{FCFS(core.SLocW), EASY(core.PLocR), PMEMAware()} {
-		m, err := Simulate(tr, Options{Nodes: 2, CoresPerSocket: 28, Policy: pol, Estimator: variedEst{}})
+	for _, model := range []Interference{{}, DefaultInterference()} {
+		for _, pol := range []Policy{FCFS(core.SLocW), EASY(core.PLocR), PMEMAware(), PMEMAwareInterferenceAware()} {
+			label := fmt.Sprintf("%s, interference %v", pol.Name(), model.Enabled)
+			opt := Options{Nodes: 2, CoresPerSocket: 28, Policy: pol, Estimator: variedEst{}, Interference: model}
+			m, err := Simulate(tr, opt)
+			if err != nil {
+				t.Fatalf("%s: Simulate: %v", label, err)
+			}
+			st, completed := replayThroughState(t, tr, opt)
+			for _, rec := range m.Records {
+				js, ok := st.Job(rec.ID)
+				if !ok {
+					t.Fatalf("%s: state lost job %d", label, rec.ID)
+				}
+				if js.Phase != JobDone {
+					t.Errorf("%s: job %d phase %s, want done", label, rec.ID, js.Phase)
+				}
+				if js.Node != rec.Node || js.Config != rec.Config ||
+					js.StartSeconds != rec.StartSeconds || js.EndSeconds != rec.EndSeconds {
+					t.Errorf("%s: job %d: state (node %d cfg %s start %g end %g) != engine (node %d cfg %s start %g end %g)",
+						label, rec.ID, js.Node, js.Config, js.StartSeconds, js.EndSeconds,
+						rec.Node, rec.Config, rec.StartSeconds, rec.EndSeconds)
+				}
+			}
+			order := append([]JobRecord(nil), m.Records...)
+			sort.Slice(order, func(a, b int) bool {
+				if order[a].EndSeconds != order[b].EndSeconds {
+					return order[a].EndSeconds < order[b].EndSeconds
+				}
+				return order[a].ID < order[b].ID
+			})
+			if len(completed) != len(order) {
+				t.Fatalf("%s: state reported %d completions for %d jobs", label, len(completed), len(order))
+			}
+			for i, c := range completed {
+				if c.ID != order[i].ID {
+					t.Fatalf("%s: completion %d is job %d, engine order says job %d", label, i, c.ID, order[i].ID)
+				}
+			}
+			checkPlacedEnds(t, label, tr, opt, m)
+			if model.Enabled && m.Summary().MaxStretch < 1.1 {
+				t.Errorf("%s: no job stretched; the interference run tests nothing", label)
+			}
+		}
+	}
+}
+
+// checkPlacedEnds replays tr through a fresh store one event instant
+// per AdvanceTo — the arrivals and the engine's completion times — so
+// no later instant re-rates a job inside the call that placed it. Each
+// Placed must then carry the end the store holds for its job when the
+// call returns (under interference, the end after the placing pass's
+// reflow), and the replay must still land on the engine's records.
+func checkPlacedEnds(t *testing.T, label string, tr Trace, opt Options, m *Metrics) {
+	t.Helper()
+	st, err := NewState(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var instants []float64
+	for _, j := range tr.Jobs {
+		if _, err := st.Submit(j.Workflow, j.ArrivalSeconds); err != nil {
+			t.Fatalf("%s: submit job %d: %v", label, j.ID, err)
+		}
+		instants = append(instants, j.ArrivalSeconds)
+	}
+	for _, r := range m.Records {
+		instants = append(instants, r.EndSeconds)
+	}
+	sort.Float64s(instants)
+	stretched := 0
+	for _, at := range instants {
+		if at <= st.Now() && at != 0 {
+			continue
+		}
+		step, err := st.AdvanceTo(at)
 		if err != nil {
-			t.Fatalf("%s: Simulate: %v", pol.Name(), err)
+			t.Fatalf("%s: advance to %g: %v", label, at, err)
 		}
-		st := replayThroughState(t, tr, pol, 2, 28)
-		for _, rec := range m.Records {
-			js, ok := st.Job(rec.ID)
-			if !ok {
-				t.Fatalf("%s: state lost job %d", pol.Name(), rec.ID)
+		for _, p := range step.Placed {
+			js, _ := st.Job(p.JobID)
+			if p.EndSeconds != js.EndSeconds {
+				t.Errorf("%s: job %d placed with end %g, the store holds %g", label, p.JobID, p.EndSeconds, js.EndSeconds)
 			}
-			if js.Phase != JobDone {
-				t.Errorf("%s: job %d phase %s, want done", pol.Name(), rec.ID, js.Phase)
-			}
-			if js.Node != rec.Node || js.Config != rec.Config ||
-				js.StartSeconds != rec.StartSeconds || js.EndSeconds != rec.EndSeconds {
-				t.Errorf("%s: job %d: state (node %d cfg %s start %g end %g) != engine (node %d cfg %s start %g end %g)",
-					pol.Name(), rec.ID, js.Node, js.Config, js.StartSeconds, js.EndSeconds,
-					rec.Node, rec.Config, rec.StartSeconds, rec.EndSeconds)
+			if p.EndSeconds > p.StartSeconds+p.DurationSeconds {
+				stretched++
 			}
 		}
+	}
+	for _, rec := range m.Records {
+		if js, _ := st.Job(rec.ID); js.Phase != JobDone || js.StartSeconds != rec.StartSeconds || js.EndSeconds != rec.EndSeconds {
+			t.Errorf("%s: stepped replay: job %d %s start %g end %g, engine start %g end %g",
+				label, rec.ID, js.Phase, js.StartSeconds, js.EndSeconds, rec.StartSeconds, rec.EndSeconds)
+		}
+	}
+	if opt.Interference.Enabled && stretched == 0 {
+		t.Errorf("%s: no placement was stretched at its decision; the end check tests nothing", label)
 	}
 }
 
@@ -93,7 +178,7 @@ func TestStateMatchesSimulate(t *testing.T) {
 // Schedule/AdvanceTo, including the backfill hold on job D.
 func TestStateCraftedBackfill(t *testing.T) {
 	tr, est := craftedTrace()
-	st, err := NewState(StateOptions{Policy: EASY(core.SLocW), Estimator: est, CoresPerSocket: 6})
+	st, err := NewState(Options{Policy: EASY(core.SLocW), Estimator: est, CoresPerSocket: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +229,7 @@ func TestStateCraftedBackfill(t *testing.T) {
 // rejects a nodeless cluster outright.
 func TestStateWaitsWithoutNodes(t *testing.T) {
 	_, est := craftedTrace()
-	st, err := NewState(StateOptions{Policy: EASY(core.SLocW), Estimator: est, CoresPerSocket: 6})
+	st, err := NewState(Options{Policy: EASY(core.SLocW), Estimator: est, CoresPerSocket: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +262,7 @@ func TestStateWaitsWithoutNodes(t *testing.T) {
 func TestStateZeroDurationSettles(t *testing.T) {
 	a := workloads.GTCReadOnly(6)
 	est := fakeEst{dur: map[string]float64{a.Name: 0}}
-	st, err := NewState(StateOptions{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
+	st, err := NewState(Options{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +289,7 @@ func TestStateZeroDurationSettles(t *testing.T) {
 // backwards.
 func TestStateArrivalClamping(t *testing.T) {
 	tr, est := craftedTrace()
-	st, err := NewState(StateOptions{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
+	st, err := NewState(Options{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +326,7 @@ func TestStateArrivalClamping(t *testing.T) {
 // rank counts are rejected at submission.
 func TestStateSubmitValidation(t *testing.T) {
 	_, est := craftedTrace()
-	st, err := NewState(StateOptions{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
+	st, err := NewState(Options{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,18 +343,18 @@ func TestStateSubmitValidation(t *testing.T) {
 func TestStateCandidates(t *testing.T) {
 	a := workloads.GTCReadOnly(4)
 	est := fakeEst{dur: map[string]float64{a.Name: 50}}
-	st, err := NewState(StateOptions{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
+	st, err := NewState(Options{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 20; i++ {
 		st.AddNode()
 	}
-	if got := st.Candidates(4, 0); len(got) != stateCandidateCap || got[0] != 0 {
-		t.Fatalf("Candidates(4, 0) = %v, want %d ascending IDs from 0", got, stateCandidateCap)
+	if got := st.candidates(4, stateCandidateCap); len(got) != stateCandidateCap || got[0] != 0 {
+		t.Fatalf("candidates(4, cap) = %v, want %d ascending IDs from 0", got, stateCandidateCap)
 	}
-	if got := st.Candidates(4, 3); !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Fatalf("Candidates(4, 3) = %v, want [0 1 2]", got)
+	if got := st.candidates(4, 3); !reflect.DeepEqual(got, []int{0, 1, 2}) {
+		t.Fatalf("candidates(4, 3) = %v, want [0 1 2]", got)
 	}
 	// Fill node 0; it must drop out of the candidate set.
 	if _, err := st.Submit(a, 0); err != nil {
@@ -278,8 +363,8 @@ func TestStateCandidates(t *testing.T) {
 	if _, err := st.Schedule(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Candidates(4, 3); !reflect.DeepEqual(got, []int{1, 2, 3}) {
-		t.Fatalf("Candidates(4, 3) after filling node 0 = %v, want [1 2 3]", got)
+	if got := st.candidates(4, 3); !reflect.DeepEqual(got, []int{1, 2, 3}) {
+		t.Fatalf("candidates(4, 3) after filling node 0 = %v, want [1 2 3]", got)
 	}
 }
 
@@ -288,7 +373,7 @@ func TestStateCandidates(t *testing.T) {
 func TestStatePlacedCandidates(t *testing.T) {
 	a := workloads.GTCReadOnly(4)
 	est := fakeEst{dur: map[string]float64{a.Name: 50}}
-	st, err := NewState(StateOptions{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
+	st, err := NewState(Options{Policy: FCFS(core.SLocW), Estimator: est, CoresPerSocket: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +429,7 @@ func TestIndexAdd(t *testing.T) {
 // not change the snapshot.
 func TestStateSnapshotIsDetached(t *testing.T) {
 	tr, est := craftedTrace()
-	st, err := NewState(StateOptions{Policy: EASY(core.SLocW), Estimator: est, CoresPerSocket: 6})
+	st, err := NewState(Options{Policy: EASY(core.SLocW), Estimator: est, CoresPerSocket: 6})
 	if err != nil {
 		t.Fatal(err)
 	}

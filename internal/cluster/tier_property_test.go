@@ -13,9 +13,9 @@ import (
 // finite DRAM capacity, and the schedule must conserve that capacity
 // the same way it conserves cores — no instant where the resident
 // jobs' DRAM demands exceed a node, no negative migration volumes, and
-// byte-identical reports across fresh reruns and across the indexed vs
-// linear-scan engines (the DRAM fit path bypasses the free index, so
-// their agreement is exactly the invariant under test).
+// byte-identical reports across fresh reruns and against the linear
+// reference (the DRAM fit path bypasses the free index, so their
+// agreement is exactly the invariant under test).
 
 // tieredCatalog is propertyCatalog with tiers on half the workloads:
 // the streaming micro workload stages through DRAM (write-stage-drain,
@@ -113,7 +113,7 @@ func checkDRAMConservation(t *testing.T, label string, m *Metrics, tr Trace, cap
 // TestPropertyTieredTraces is the tier property sweep: 20 seeds x 4
 // policies x {plain DRAM capacity, tiered interference}, each checked
 // for the structural invariants, DRAM conservation, byte-determinism
-// across fresh reruns, and indexed/linear-scan agreement.
+// across fresh reruns, and agreement with the linear reference.
 func TestPropertyTieredTraces(t *testing.T) {
 	capacity := tierNodeDRAM()
 	if capacity <= 0 {
@@ -154,16 +154,10 @@ func TestPropertyTieredTraces(t *testing.T) {
 					t.Fatalf("%s: fresh rerun produced different report bytes", label)
 				}
 
-				linOpt := opt
-				linOpt.LinearScan = true
-				lin, _ := simulateTiered(t, seed, linOpt)
-				var linear bytes.Buffer
-				if err := lin.WriteJSON(&linear); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(first.Bytes(), linear.Bytes()) {
-					t.Fatalf("%s: indexed and linear-scan engines produced different report bytes", label)
-				}
+				checkLinearRef(t, label, opt, m, func(o Options) *Metrics {
+					lin, _ := simulateTiered(t, seed, o)
+					return lin
+				})
 			}
 		}
 	}

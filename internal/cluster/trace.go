@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -53,10 +54,11 @@ type Trace struct {
 }
 
 // Validate reports whether the trace is well-formed: non-empty, valid
-// workflows, non-negative arrivals in non-decreasing order, and job IDs
-// equal to their positions. The engine indexes its per-job state by ID,
-// so a hand-assembled trace with duplicate or non-contiguous IDs would
-// otherwise panic or silently merge two jobs' state.
+// workflows, finite non-negative arrivals in non-decreasing order, and
+// job IDs equal to their positions. The engine indexes its per-job
+// state by ID, so a hand-assembled trace with duplicate or
+// non-contiguous IDs would otherwise panic or silently merge two jobs'
+// state.
 func (t Trace) Validate() error {
 	if len(t.Jobs) == 0 {
 		return fmt.Errorf("cluster: empty trace")
@@ -69,14 +71,36 @@ func (t Trace) Validate() error {
 		if err := validateJob(j); err != nil {
 			return fmt.Errorf("cluster: trace job %d: %w", i, err)
 		}
-		if j.ArrivalSeconds < 0 {
-			return fmt.Errorf("cluster: trace job %d: negative arrival %g", i, j.ArrivalSeconds)
-		}
 		if j.ArrivalSeconds < prev {
 			return fmt.Errorf("cluster: trace job %d: arrival %g before job %d's %g (trace must be sorted)",
 				i, j.ArrivalSeconds, i-1, prev)
 		}
 		prev = j.ArrivalSeconds
+	}
+	return nil
+}
+
+// checkArrival is the arrival rule of batch intake (Trace.Validate
+// and streaming sources, through validateJob): finite, then
+// non-negative.
+func checkArrival(at float64) error {
+	if err := checkFiniteArrival(at); err != nil {
+		return err
+	}
+	if at < 0 {
+		return fmt.Errorf("negative arrival %g", at)
+	}
+	return nil
+}
+
+// checkFiniteArrival is the part of the arrival rule every intake
+// shares, State.Submit included (the store then clamps a past arrival
+// to its clock instead of rejecting it). A NaN event never equals the
+// clock, so it never drains and the loop spins; an infinite one never
+// comes due.
+func checkFiniteArrival(at float64) error {
+	if math.IsNaN(at) || math.IsInf(at, 0) {
+		return fmt.Errorf("non-finite arrival %g", at)
 	}
 	return nil
 }
@@ -185,8 +209,8 @@ func WriteTrace(w io.Writer, tr Trace) error {
 // call, so the engine (SimulateStream) never needs the whole trace in
 // memory. Next returns ok == false once the stream is exhausted.
 // Implementations must yield jobs with IDs equal to their stream
-// positions and non-decreasing, non-negative arrivals — the engine
-// re-validates as it pulls and fails fast on a malformed stream.
+// positions and non-decreasing, finite, non-negative arrivals — the
+// engine re-validates as it pulls and fails fast on a malformed stream.
 type TraceSource interface {
 	Next() (job Job, ok bool, err error)
 }

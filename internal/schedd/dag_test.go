@@ -162,3 +162,18 @@ func TestSubmitJobDuplicateKeyGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestSubmitJobOversizedGolden pins the wire text of a job no node can
+// hold: it names the workflow only, since the rejected job never gets
+// an ID.
+func TestSubmitJobOversizedGolden(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	if status, body := call(t, ts, "POST", "/v1/jobs", `{"name": "micro-2k", "ranks": 4}`); status != http.StatusOK {
+		t.Fatalf("first submit: status %d, body %s", status, body)
+	}
+	status, body := call(t, ts, "POST", "/v1/jobs", `{"name": "micro-2k", "ranks": 999}`)
+	if status != http.StatusBadRequest {
+		t.Fatalf("oversized job: status %d, body %s", status, body)
+	}
+	checkGolden(t, "jobs_oversized.json", body)
+}

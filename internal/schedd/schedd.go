@@ -134,7 +134,7 @@ func New(cfg Config) (*Server, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	store, err := cluster.NewState(cluster.StateOptions{
+	store, err := cluster.NewState(cluster.Options{
 		Policy:         cfg.Policy,
 		Estimator:      cluster.NewEstimator(cfg.Runner),
 		CoresPerSocket: cfg.CoresPerSocket,
