@@ -23,6 +23,11 @@ type Device struct {
 
 	readFlows  []*sim.Flow
 	writeFlows []*sim.Flow
+	// readSmall[i] (writeSmall[i]) records whether readFlows[i]
+	// (writeFlows[i]) is a sub-stripe access, classified once when the
+	// flows are installed rather than on every census.
+	readSmall  []bool
+	writeSmall []bool
 
 	pressure float64
 	lastT    float64
@@ -80,31 +85,39 @@ func (d *Device) load() Load {
 	var l Load
 	l.RawReads = len(d.readFlows)
 	l.RawWrites = len(d.writeFlows)
-	for _, f := range d.readFlows {
-		w := f.Weight
-		if f.Class.Remote {
-			l.RemoteReads += w
-		} else {
-			l.LocalReads += w
-		}
-		if d.model.Small(f.Class.AccessSize) {
-			l.SmallReads += w
-			l.RawSmall++
-		}
-	}
-	for _, f := range d.writeFlows {
-		w := f.Weight
-		if f.Class.Remote {
-			l.RemoteWrites += w
-		} else {
-			l.LocalWrites += w
-		}
-		if d.model.Small(f.Class.AccessSize) {
-			l.SmallWrites += w
-			l.RawSmall++
-		}
-	}
+	var rs, ws int
+	l.LocalReads, l.RemoteReads, l.SmallReads, rs = tally(d.readFlows, d.readSmall)
+	l.LocalWrites, l.RemoteWrites, l.SmallWrites, ws = tally(d.writeFlows, d.writeSmall)
+	l.RawSmall = rs + ws
 	return l
+}
+
+// tally sums one port's flow weights by locality and by access size,
+// in flow order, and counts its small flows.
+func tally(flows []*sim.Flow, small []bool) (local, remote, smallW float64, rawSmall int) {
+	for i, f := range flows {
+		w := f.Weight
+		if f.Class.Remote {
+			remote += w
+		} else {
+			local += w
+		}
+		if small[i] {
+			smallW += w
+			rawSmall++
+		}
+	}
+	return local, remote, smallW, rawSmall
+}
+
+// classify records, into dst's storage, whether each flow is a
+// sub-stripe access.
+func (d *Device) classify(dst []bool, flows []*sim.Flow) []bool {
+	dst = dst[:0]
+	for _, f := range flows {
+		dst = append(dst, d.model.Small(f.Class.AccessSize))
+	}
+	return dst
 }
 
 type readPort struct{ d *Device }
@@ -116,11 +129,11 @@ func (p *readPort) SetFlows(now float64, flows []*sim.Flow) {
 	// occupancy that held during it, before installing the new flow set.
 	p.d.advance(now)
 	p.d.readFlows = flows
+	p.d.readSmall = p.d.classify(p.d.readSmall, flows)
 }
 
 func (p *readPort) Evaluate() (float64, float64) {
-	caps := p.d.model.Caps(p.d.load(), p.d.pressure)
-	return caps.Read, p.d.model.ReadPerFlowMax
+	return p.d.model.readCap(p.d.load(), p.d.pressure), p.d.model.ReadPerFlowMax
 }
 
 type writePort struct{ d *Device }
@@ -130,11 +143,11 @@ func (p *writePort) Name() string { return p.d.name + ".write" }
 func (p *writePort) SetFlows(now float64, flows []*sim.Flow) {
 	p.d.advance(now)
 	p.d.writeFlows = flows
+	p.d.writeSmall = p.d.classify(p.d.writeSmall, flows)
 }
 
 func (p *writePort) Evaluate() (float64, float64) {
-	caps := p.d.model.Caps(p.d.load(), p.d.pressure)
-	return caps.Write, p.d.model.WritePerFlowMax
+	return p.d.model.writeCap(p.d.load(), p.d.pressure), p.d.model.WritePerFlowMax
 }
 
 var (

@@ -141,3 +141,34 @@ func TestDeviceAccessors(t *testing.T) {
 		t.Errorf("port names %q/%q", d.ReadPort().Name(), d.WritePort().Name())
 	}
 }
+
+// BenchmarkDeviceEvaluate measures one evaluation of each port of a
+// Gen-1 device carrying 24 readers and 24 writers, mixed local/remote
+// and small/large, with varied duty cycles.
+func BenchmarkDeviceEvaluate(b *testing.B) {
+	d := NewDevice("pmem0", Gen1Optane())
+	var reads, writes []*sim.Flow
+	for i := 0; i < 24; i++ {
+		size := 64 * units.MiB
+		if i%4 < 2 {
+			size = 2 * units.KiB
+		}
+		weight := 0.25 + 0.75*float64(i%3)/2
+		reads = append(reads, mkFlow(sim.Read, i%2 == 1, size, weight))
+		writes = append(writes, mkFlow(sim.Write, i%2 == 0, size, weight))
+	}
+	d.ReadPort().SetFlows(1, reads)
+	d.WritePort().SetFlows(1, writes)
+	rp, wp := d.ReadPort(), d.WritePort()
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0.0
+	for i := 0; i < b.N; i++ {
+		r, _ := rp.Evaluate()
+		w, _ := wp.Evaluate()
+		sink += r + w
+	}
+	if sink <= 0 {
+		b.Fatal("no capacity")
+	}
+}

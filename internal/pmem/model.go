@@ -326,30 +326,55 @@ type Caps struct {
 
 // Caps evaluates the capacity model for a weighted load census at the
 // given sustained-write pressure (0..1).
-func (m Model) Caps(l Load, pressure float64) Caps {
-	var c Caps
-	if l.Reads() > 0 {
-		c.Read = m.readAggregate(l)
-	}
-	if l.Writes() > 0 {
-		c.Write = m.writeAggregate(l, pressure)
-	}
+//
+// The hot methods take a pointer receiver: the kernel evaluates the
+// model once per flow, path resource and fixed-point sweep, and a value
+// receiver would copy the whole calibration on every call.
+func (m *Model) Caps(l Load, pressure float64) Caps {
 	shared := m.sharedEfficiency(l, pressure)
-	c.Read *= shared
-	c.Write *= shared
-	return c
+	return Caps{Read: m.readSide(l) * shared, Write: m.writeSide(l, pressure) * shared}
+}
+
+// readCap is Caps(l, pressure).Read, bit for bit, without evaluating
+// the write side.
+func (m *Model) readCap(l Load, pressure float64) float64 {
+	return m.readSide(l) * m.sharedEfficiency(l, pressure)
+}
+
+// writeCap is Caps(l, pressure).Write, bit for bit, without evaluating
+// the read side.
+func (m *Model) writeCap(l Load, pressure float64) float64 {
+	return m.writeSide(l, pressure) * m.sharedEfficiency(l, pressure)
+}
+
+// readSide is the read aggregate before the whole-device factors: zero
+// when nothing reads.
+func (m *Model) readSide(l Load) float64 {
+	if l.Reads() > 0 {
+		return m.readAggregate(l)
+	}
+	return 0
+}
+
+// writeSide is the write aggregate before the whole-device factors:
+// zero when nothing writes.
+func (m *Model) writeSide(l Load, pressure float64) float64 {
+	if l.Writes() > 0 {
+		return m.writeAggregate(l, pressure)
+	}
+	return 0
 }
 
 // readAggregate: linear scaling to ReadScaleOps, remote penalty folded
 // in proportionally to the remote share.
-func (m Model) readAggregate(l Load) float64 {
+func (m *Model) readAggregate(l Load) float64 {
 	n := l.Reads()
 	base := m.ReadMax * math.Min(1, n/m.ReadScaleOps)
 	pen := m.remoteReadPenalty(l.RemoteReads)
 	return base * (l.LocalReads + l.RemoteReads/pen) / n
 }
 
-func (m Model) remoteReadPenalty(w float64) float64 {
+func (m *Model) remoteReadPenalty(w float64) float64 {
 	if w <= 0 {
 		return 1
 	}
@@ -365,7 +390,7 @@ func (m Model) remoteReadPenalty(w float64) float64 {
 // writeAggregate: linear scaling to WriteScaleOps, then a gentle decay
 // (XPBuffer eviction) with more write streams; remote writers collapse
 // per the pressure-scaled penalty, blended by population.
-func (m Model) writeAggregate(l Load, pressure float64) float64 {
+func (m *Model) writeAggregate(l Load, pressure float64) float64 {
 	n := l.Writes()
 	scale := math.Min(1, n/m.WriteScaleOps)
 	if n > m.WriteScaleOps {
@@ -384,7 +409,7 @@ func (m Model) writeAggregate(l Load, pressure float64) float64 {
 // RemoteWritePenalty returns the aggregate-bandwidth division factor
 // for w effective concurrent remote writers at the given sustained
 // pressure. Exported for characterization output and ablation tests.
-func (m Model) RemoteWritePenalty(w, pressure float64) float64 {
+func (m *Model) RemoteWritePenalty(w, pressure float64) float64 {
 	if w <= 0 {
 		return 1
 	}
@@ -412,7 +437,7 @@ func (m Model) RemoteWritePenalty(w, pressure float64) float64 {
 // from small accesses. The volume mix (how deep the mixing penalty
 // cuts at its peak) uses weighted counts; the contention triggers use
 // raw stream counts (see Load).
-func (m Model) sharedEfficiency(l Load, pressure float64) float64 {
+func (m *Model) sharedEfficiency(l Load, pressure float64) float64 {
 	n := l.Total()
 	raw := l.RawTotal()
 	if n <= 0 || raw <= 0 {
@@ -462,7 +487,7 @@ func (m Model) WriteLatency(remote bool) float64 {
 
 // Small reports whether an access of the given size is sub-stripe
 // ("small") for DIMM-contention purposes.
-func (m Model) Small(accessBytes int64) bool { return accessBytes < m.SmallAccessBytes }
+func (m *Model) Small(accessBytes int64) bool { return accessBytes < m.SmallAccessBytes }
 
 func clamp01(v float64) float64 {
 	if v < 0 {

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -460,24 +461,206 @@ func TestContentionMonotonicityProperty(t *testing.T) {
 	}
 }
 
-// Property: flow weights stay in (0, 1] for any software/byte ratio.
+// Property: flow weights stay in (0, 1] for any software/byte ratio,
+// both as the fixed point iterates (what Evaluate sees) and once the
+// transfers finish.
 func TestWeightBoundsProperty(t *testing.T) {
 	f := func(perOpUs uint16, opBytes uint16) bool {
 		perOp := float64(perOpUs) * 1e-6
 		ob := float64(opBytes%10000 + 1)
-		r := NewFixedResource("link", 1e6)
+		r := &weightRecorder{inner: NewFixedResource("link", 1e6)}
 		k := New()
-		k.Spawn("p", Sequence(Transfer{
-			Bytes: ob * 4, OpBytes: ob, PerOpSeconds: perOp,
-			Path: []Resource{r}, Tag: "io",
-		}))
-		// Run one rate assignment by stepping the kernel via Run.
-		_, err := k.Run()
-		return err == nil
+		for i := 0; i < 2; i++ {
+			k.Spawn("p", Sequence(Transfer{
+				Bytes: ob * float64(4+i), OpBytes: ob, PerOpSeconds: perOp * float64(i+1),
+				Path: []Resource{r}, Tag: "io",
+			}))
+		}
+		if _, err := k.Run(); err != nil {
+			t.Log(err)
+			return false
+		}
+		if len(r.weights) == 0 {
+			t.Log("no weights recorded")
+			return false
+		}
+		for _, fl := range r.seen {
+			r.weights = append(r.weights, fl.Weight)
+		}
+		for _, w := range r.weights {
+			if !(w > 0 && w <= 1) {
+				t.Logf("perOp %g s, opBytes %g: weight %g outside (0, 1]", perOp, ob, w)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// weightRecorder wraps a resource and records the Weight of every
+// installed flow each time it is evaluated, plus every flow it saw.
+type weightRecorder struct {
+	inner   Resource
+	flows   []*Flow
+	seen    []*Flow
+	weights []float64
+}
+
+func (r *weightRecorder) Name() string { return "weights:" + r.inner.Name() }
+func (r *weightRecorder) SetFlows(now float64, fs []*Flow) {
+	r.flows = fs
+	for _, f := range fs {
+		if !slices.Contains(r.seen, f) {
+			r.seen = append(r.seen, f)
+		}
+	}
+	r.inner.SetFlows(now, fs)
+}
+func (r *weightRecorder) Evaluate() (float64, float64) {
+	for _, f := range r.flows {
+		r.weights = append(r.weights, f.Weight)
+	}
+	return r.inner.Evaluate()
+}
+
+// lifetimeResource checks the SetFlows lifetime rule: when a new flow
+// list arrives, the list installed by the previous call must still hold
+// the same flows with the same classes.
+type lifetimeResource struct {
+	t       *testing.T
+	name    string
+	cap     float64
+	prev    []*Flow
+	flows   []*Flow     // prev's flows when it was installed
+	classes []FlowClass // and their classes
+	calls   int
+}
+
+func (r *lifetimeResource) Name() string { return r.name }
+func (r *lifetimeResource) SetFlows(now float64, fs []*Flow) {
+	for i, f := range r.prev {
+		if f != r.flows[i] || f.Class != r.classes[i] {
+			r.t.Errorf("%s at t=%g: previous flow list changed before its replacement was installed: "+
+				"slot %d holds %p %+v, installed %p %+v", r.name, now, i, f, f.Class, r.flows[i], r.classes[i])
+			break
+		}
+	}
+	r.calls++
+	r.prev = fs
+	r.flows = append(r.flows[:0], fs...)
+	r.classes = r.classes[:0]
+	for _, f := range fs {
+		r.classes = append(r.classes, f.Class)
+	}
+}
+func (r *lifetimeResource) Evaluate() (float64, float64) { return r.cap, math.Inf(1) }
+
+// The kernel keeps each resource's previously installed flow list, and
+// the flows in it, intact until it installs the replacement: stateful
+// resources (the PMEM device's pressure integrator) read the old census
+// inside the next SetFlows. A kernel that refills the old list's
+// storage before handing over the new one fails this test.
+func TestSetFlowsLifetime(t *testing.T) {
+	a := &lifetimeResource{t: t, name: "a", cap: 1000}
+	b := &lifetimeResource{t: t, name: "b", cap: 700}
+	paths := [][]Resource{{a}, {a, b}, {b}, {b, a}}
+	k := New()
+	for i := 0; i < 6; i++ {
+		var stages []Stage
+		for j := 0; j < 5; j++ {
+			stages = append(stages,
+				Compute{Seconds: 0.01 * float64((i+j)%3), Tag: "c"},
+				Transfer{
+					Bytes: float64(100 + 37*i + 53*j), OpBytes: 10, PerOpSeconds: 1e-3 * float64(i%3),
+					Path:  paths[(i+j)%len(paths)],
+					Class: FlowClass{Kind: OpKind(i % 2), Remote: j%2 == 0, AccessSize: int64(1 + i + 10*j)},
+					Tag:   "io",
+				})
+		}
+		k.Spawn("p", Sequence(stages...))
+	}
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if a.calls < 20 || b.calls < 20 {
+		t.Fatalf("only %d and %d SetFlows calls; the workload should change its flow set often", a.calls, b.calls)
+	}
+}
+
+// censusResource models a device whose capacity depends on the
+// weighted census of its flows, like the PMEM ports: bandwidth scales
+// with effective concurrency up to scaleOps, then decays under
+// contention, and one stream is capped at perFlow.
+type censusResource struct {
+	peak, scaleOps, decay, perFlow float64
+	flows                          []*Flow
+}
+
+func (r *censusResource) Name() string                   { return "census" }
+func (r *censusResource) SetFlows(_ float64, fs []*Flow) { r.flows = fs }
+func (r *censusResource) Evaluate() (float64, float64) {
+	w := 0.0
+	for _, f := range r.flows {
+		w += f.Weight
+	}
+	c := r.peak * math.Min(1, w/r.scaleOps)
+	if w > r.scaleOps {
+		c /= 1 + r.decay*(w-r.scaleOps)
+	}
+	return c, r.perFlow
+}
+
+// A repeated rate round on an unchanged flow set measures how far
+// rateIterations sweeps leave the weights from their fixed point. Pure
+// streams (weight 1) are exact. Flows with a per-operation software
+// cost are not always settled: on a device whose capacity scales with
+// the weighted census, a flow's weight can alternate between two values
+// instead of converging. On this grid the residual is at most 19.9%
+// (it is under 1% for most configurations); the bound below pins that.
+func TestWeightConvergence(t *testing.T) {
+	const bound = 0.25
+	worst, unsettled, cases := 0.0, 0, 0
+	for _, n := range []int{1, 2, 4, 8, 24, 48} {
+		for _, perOp := range []float64{0, 1e-6, 1e-5, 1e-4, 1e-3} {
+			for _, opBytes := range []float64{2048, 65536, 4 << 20} {
+				r := &censusResource{peak: 39.4e9, scaleOps: 17, decay: 0.03, perFlow: 2.9e9}
+				k := New()
+				for i := 0; i < n; i++ {
+					k.Spawn("p", Sequence(Transfer{
+						Bytes: 1 << 30, OpBytes: opBytes, PerOpSeconds: perOp * float64(1+i%3),
+						Path: []Resource{r}, Tag: "io",
+					}))
+				}
+				k.prime()
+				k.assignRates()
+				first := make([]float64, len(k.flows))
+				for i, f := range k.flows {
+					first[i] = f.rate
+				}
+				k.assignRates()
+				moved := 0.0
+				for i, f := range k.flows {
+					moved = math.Max(moved, math.Abs(f.rate-first[i])/first[i])
+				}
+				cases++
+				if moved >= 0.01 {
+					unsettled++
+				}
+				worst = math.Max(worst, moved)
+				if perOp == 0 && moved != 0 {
+					t.Errorf("n=%d opBytes=%g: pure streams moved %g in a repeated round", n, opBytes, moved)
+				}
+				if moved >= bound {
+					t.Errorf("n=%d perOp=%g opBytes=%g: a repeated round moved a rate by %.3g%%, want under %g%%",
+						n, perOp, opBytes, 100*moved, 100*bound)
+				}
+			}
+		}
+	}
+	t.Logf("repeated round: largest rate change %.3g%%; %d of %d configurations moved 1%% or more", 100*worst, unsettled, cases)
 }
 
 func TestChargesNeverExceedElapsed(t *testing.T) {

@@ -19,8 +19,12 @@ type Resource interface {
 	Name() string
 	// SetFlows installs the flows currently routed through this
 	// resource. Called once per rate round; an empty slice clears a
-	// previously installed set. The slice must not be retained past the
-	// next SetFlows call.
+	// previously installed set. The kernel keeps the slice installed
+	// last round, and the flows in it (their Class and Weight), unmodified
+	// until the SetFlows call that replaces it returns, so an
+	// implementation may read the outgoing census there (the PMEM
+	// device integrates its write pressure over it). The slice must not
+	// be retained past that call: the kernel reuses its storage.
 	SetFlows(now float64, flows []*Flow)
 	// Evaluate returns the aggregate capacity (bytes/second) available
 	// to the installed flows and the per-flow stream cap (use
