@@ -70,7 +70,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	stream := fs.Bool("stream", false, "stream the trace through the engine (constant memory; -trace files must already be sorted by arrival)")
 	summaryOnly := fs.Bool("summary-only", false, "aggregate on the fly and emit only the summary (constant memory; fleet-scale runs)")
 	dedupSamples := fs.Bool("dedup-samples", false, "drop consecutive identical utilization samples from the series")
-	incrementalReflow := fs.Bool("incremental-reflow", false, "socket-local incremental interference reflow (bounded per-event work; last-ulp fp drift vs the exact reflow)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -137,9 +136,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Policy:    policy,
 		Estimator: cluster.NewEstimator(rt),
 		Fleet: cluster.FleetOptions{
-			IncrementalReflow: *incrementalReflow,
-			DedupSamples:      *dedupSamples,
-			SummaryOnly:       *summaryOnly,
+			DedupSamples: *dedupSamples,
+			SummaryOnly:  *summaryOnly,
 		},
 	}
 	opt.DRAMBytesPerNode = *nodeDRAM * 1024 * 1024 * 1024

@@ -112,6 +112,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		srv.AddNodes(*nodes)
 	}
 
+	// Catch signals before announcing the address: a SIGTERM sent the
+	// moment "listening on" appears must drain, not kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		cli.Sayln(stderr, "wfschedd:", err)
@@ -121,8 +125,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ln.Addr(), *policyName, *stackName)
 
 	httpSrv := &http.Server{Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	served := make(chan error, 1)
 	go func() { served <- httpSrv.Serve(ln) }()
 

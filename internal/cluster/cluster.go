@@ -504,19 +504,11 @@ type Options struct {
 }
 
 // FleetOptions are the engine trade-offs for fleet-scale traces (1k
-// nodes, 1M jobs). Unlike the free-capacity index — always on, exactly
-// equivalent — each of these changes observable output in a bounded,
-// documented way, so each defaults off and golden-pinned small-trace
-// runs stay byte-identical.
+// nodes, 1M jobs). Unlike the free-capacity index and the socket-local
+// reflow — always on, exactly equivalent — each of these changes
+// observable output in a bounded, documented way, so each defaults off
+// and golden-pinned small-trace runs stay byte-identical.
 type FleetOptions struct {
-	// IncrementalReflow recomputes interference rates only for jobs on
-	// node sockets whose demand actually changed, instead of every
-	// resident in the cluster, and integrates each job's progress lazily
-	// (at its own rate changes) instead of at every cluster event. The
-	// trajectories are mathematically identical but the floating-point
-	// sums associate differently, so results can drift in the last ulp
-	// relative to the full reflow. No effect when interference is off.
-	IncrementalReflow bool
 	// DedupSamples drops a utilization sample when no node's occupancy
 	// changed since the previous sample, bounding Metrics.Series by the
 	// number of occupancy changes instead of the number of event times.

@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"sort"
 
 	"pmemsched/internal/numa"
 )
@@ -50,8 +49,8 @@ import (
 // index returns the node the linear scan would have, the COW view
 // reads identically, and the metrics integrate the same occupancy
 // values — which the tests pin against a brute-force linear reference.
-// The opt-in FleetOptions trade byte-compatibility for bounded
-// per-event work; see Options.Fleet.
+// The reflow is exact too: it re-rates only the sockets whose
+// residency changed, which are the only ones whose rates can move.
 
 type eventKind uint8
 
@@ -213,9 +212,8 @@ func (c *checkedSource) Next() (Job, bool, error) {
 }
 
 // dirtyNodes tracks, between reflow passes, which nodes saw a
-// residency change and on which device socket — the socket-local
-// incremental reflow re-rates only the residents streaming through a
-// changed socket.
+// residency change and on which device socket: the reflow re-rates
+// only the residents streaming through a changed socket.
 type dirtyNodes struct {
 	mask []uint8 // per node: bit s set = socket s's demand changed
 	list []int   // nodes with a nonzero mask, in mark order
@@ -232,10 +230,9 @@ func (d *dirtyNodes) mark(node, socket int) {
 // free-capacity index, the metered occupancy, the event heap, per-job
 // state, the pending queue and the failure-avoid list.
 type engine struct {
-	opt         Options
-	cores       int
-	retry       RetryPolicy
-	incremental bool // socket-local reflow (interference + Fleet.IncrementalReflow)
+	opt   Options
+	cores int
+	retry RetryPolicy
 
 	nodes []*NodeView
 	idx   *freeIndex
@@ -271,10 +268,9 @@ type engine struct {
 // must already be validated.
 func newEngine(opt Options) (*engine, error) {
 	e := &engine{
-		opt:         opt,
-		cores:       opt.coresPerSocket(),
-		retry:       opt.retry(),
-		incremental: opt.Interference.Enabled && opt.Fleet.IncrementalReflow,
+		opt:   opt,
+		cores: opt.coresPerSocket(),
+		retry: opt.retry(),
 	}
 	e.idx = newFreeIndex(0, e.cores)
 	for i := 0; i < opt.Nodes; i++ {
@@ -375,7 +371,7 @@ func (e *engine) step(now float64, force bool) (bool, error) {
 				e.idx.remove(st.node, st.job.Workflow.Ranks)
 				e.occ[st.node] -= st.job.Workflow.Ranks
 			}
-			if e.incremental {
+			if e.opt.Interference.Enabled {
 				e.dirty.mark(st.node, st.profile.DeviceSocket)
 			}
 			e.retire(st)
@@ -503,9 +499,7 @@ func (e *engine) commit(now float64, pl Placement) error {
 		// rate stays 0: the pass's closing reflow rates the newcomer and
 		// posts its first completion event.
 		n.place(st.job.ID, ranks, st.end, dram, prof)
-		if e.incremental {
-			e.dirty.mark(pl.Node, prof.DeviceSocket)
-		}
+		e.dirty.mark(pl.Node, prof.DeviceSocket)
 	} else {
 		n.place(st.job.ID, ranks, st.end, dram, JobProfile{})
 		e.events.add(event{at: st.end, kind: evComplete, job: st.job.ID, epoch: st.epoch})
@@ -590,46 +584,14 @@ func simulate(src TraceSource, opt Options) (*Metrics, error) {
 }
 
 // reflow is the fluid step: integrate every running job's progress up
-// to now under its current rate, recompute rates from the current
-// residency, and re-rate every job whose rate changed. Rates are pure
-// functions of the deterministic residency sets, so reflow preserves
-// the engine's bit-for-bit reproducibility.
-//
-// Under Fleet.IncrementalReflow it is socket-local instead: only nodes
-// whose residency changed since the last reflow are touched, and on
-// each only the residents streaming through a changed socket — demand
-// on one socket never moves rates on the other, and a node nothing
-// happened on cannot have changed at all. Progress then integrates
-// lazily (one multiply per rate change instead of one per cluster
-// event), which is why that mode is opt-in: the telescoped sums agree
-// with the full reflow only up to floating-point association, so
-// byte-level goldens pin the full path.
+// to now under its current rate, then re-rate the residents of every
+// socket a placement or completion marked dirty since the last reflow.
+// A rate is a pure function of its socket's resident set, so a clean
+// socket's residents already hold the rate a fresh evaluation would
+// give them, and skipping them is exact, not an approximation. Mark
+// order does not matter either: the event heap orders the re-posted
+// completions by their keys alone.
 func (e *engine) reflow(now float64) {
-	if e.incremental {
-		d := &e.dirty
-		sort.Ints(d.list) // deterministic node order regardless of mark order
-		for _, id := range d.list {
-			n := e.nodes[id]
-			mask := d.mask[id]
-			d.mask[id] = 0
-			rates := n.socketRates(e.opt.Interference)
-			for i := range n.Running {
-				st := e.states[n.Running[i].JobID]
-				if mask&(1<<uint(st.profile.DeviceSocket&1)) == 0 {
-					continue // the job's socket saw no demand change
-				}
-				if st.rate > 0 {
-					st.progress += (now - st.lastAt) * st.rate
-				}
-				st.lastAt = now
-				if rate := rates(st.profile); rate != st.rate {
-					e.rerate(now, st, &n.Running[i], rate)
-				}
-			}
-		}
-		d.list = d.list[:0]
-		return
-	}
 	for _, n := range e.nodes {
 		for i := range n.Running {
 			st := e.states[n.Running[i].JobID]
@@ -639,21 +601,29 @@ func (e *engine) reflow(now float64) {
 			st.lastAt = now
 		}
 	}
-	for _, n := range e.nodes {
+	d := &e.dirty
+	for _, id := range d.list {
+		n := e.nodes[id]
+		mask := d.mask[id]
+		d.mask[id] = 0
 		rates := n.socketRates(e.opt.Interference)
 		for i := range n.Running {
 			st := e.states[n.Running[i].JobID]
+			if mask&(1<<uint(st.profile.DeviceSocket&1)) == 0 {
+				continue // the job's socket saw no residency change
+			}
 			if rate := rates(st.profile); rate != st.rate {
 				e.rerate(now, st, &n.Running[i], rate)
 			}
 		}
 	}
+	d.list = d.list[:0]
 }
 
 // rerate applies a resident's changed progress rate: the job's
 // completion is re-estimated from its remaining work, its epoch bumps
 // and a fresh completion event is posted (the old one, now stale, is
-// skipped when it pops). Callers compare rates first, so the common
+// skipped when it pops). The reflow compares rates first, so the common
 // unchanged case costs no call.
 func (e *engine) rerate(now float64, st *jobState, r *RunningJob, rate float64) {
 	st.rate = rate

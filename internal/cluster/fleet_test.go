@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pmemsched/internal/core"
+	"pmemsched/internal/workflow"
 	"pmemsched/internal/workloads"
 )
 
@@ -346,6 +347,39 @@ func TestSimulateStreamValidation(t *testing.T) {
 		_, err := SimulateStream(&stubSource{jobs: c.jobs}, opt)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want it to mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// TestStreamTraceStrict pins StreamTrace to ReadTrace's strictness: a
+// job with an unknown field, an unknown top-level key after the job
+// array, a document truncated before its closing brackets and trailing
+// data after the trace object are errors on both, where the streaming
+// decoder used to skip the field, ignore the key and stop at the end of
+// input as if the array had closed.
+func TestStreamTraceStrict(t *testing.T) {
+	var spec bytes.Buffer
+	if err := workflow.WriteSpec(&spec, workloads.GTCReadOnly(2)); err != nil {
+		t.Fatal(err)
+	}
+	job := `{"arrival_seconds": 0, "workflow": ` + spec.String() + `}`
+	for _, key := range []string{"jobs", "Jobs"} { // field names match case-insensitively
+		if _, err := collect(StreamTrace(strings.NewReader(`{"` + key + `": [` + job + `]}`))); err != nil {
+			t.Fatalf("well-formed trace rejected: %v", err)
+		}
+	}
+	for _, c := range []struct{ name, doc, want string }{
+		{"unknown job field", `{"jobs": [{"arrival_seconds": 0, "bogus": 1, "workflow": ` + spec.String() + `}]}`, "unknown field"},
+		{"unknown key after jobs", `{"jobs": [` + job + `], "extra": 1}`, "want }, got extra"},
+		{"truncated", `{"jobs": [` + job, "unexpected EOF"},
+		{"trailing data", `{"jobs": [` + job + `]} {}`, "after the trace object"},
+		{"wrong key", `{"jobz": [` + job + `]}`, "want jobs, got jobz"},
+	} {
+		if _, err := collect(StreamTrace(strings.NewReader(c.doc))); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: StreamTrace error %v, want it to mention %q", c.name, err, c.want)
+		}
+		if _, err := ReadTrace(strings.NewReader(c.doc)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadTrace error %v, want it to mention %q", c.name, err, c.want)
 		}
 	}
 }

@@ -2,6 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -13,19 +18,7 @@ import (
 // to the first (the parser normalizes: sorted arrivals, positional
 // IDs, validated workflows).
 func FuzzReadTrace(f *testing.F) {
-	f.Add(`{"jobs": []}`)
-	f.Add(`{"jobs": [{"arrival_seconds": 0, "workflow": null}]}`)
-	f.Add(`{"jobs": [{"arrival_seconds": -1, "workflow": {}}]}`)
-	f.Add(`{"jobs"`)
-	valid, err := SuiteTrace(1, 10)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, valid); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
+	addTraceSeeds(f)
 	f.Fuzz(func(t *testing.T, doc string) {
 		tr, err := ReadTrace(strings.NewReader(doc))
 		if err != nil {
@@ -45,6 +38,72 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Error("trace round trip is not byte-idempotent")
+		}
+	})
+}
+
+// addTraceSeeds adds the inline seeds of the trace parser's fuzz
+// targets.
+func addTraceSeeds(f *testing.F) {
+	f.Add(`{"jobs": []}`)
+	f.Add(`{"jobs": [{"arrival_seconds": 0, "workflow": null}]}`)
+	f.Add(`{"jobs": [{"arrival_seconds": -1, "workflow": {}}]}`)
+	f.Add(`{"jobs"`)
+	valid, err := SuiteTrace(1, 10)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+}
+
+// FuzzStreamTrace is a differential target: StreamTrace against
+// ReadTrace, seeded with FuzzReadTrace's inline seeds and committed
+// corpus. A document the stream cannot decode ReadTrace must reject
+// too, and on arrival-sorted input the stream — validated as the
+// engine validates it — accepts exactly when ReadTrace does, with the
+// same jobs.
+func FuzzStreamTrace(f *testing.F) {
+	addTraceSeeds(f)
+	corpus, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzReadTrace", "*"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, path := range corpus {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		lines := strings.SplitN(string(b), "\n", 3)
+		doc, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "string("), ")"))
+		if lines[0] != "go test fuzz v1" || err != nil {
+			f.Fatalf("%s: not a one-string corpus entry", path)
+		}
+		f.Add(doc)
+	}
+	f.Fuzz(func(t *testing.T, doc string) {
+		want, rerr := ReadTrace(strings.NewReader(doc))
+		raw, err := collect(StreamTrace(strings.NewReader(doc)))
+		if err != nil {
+			if rerr == nil {
+				t.Fatalf("StreamTrace rejects a document ReadTrace accepts: %v", err)
+			}
+			return
+		}
+		for i := 1; i < len(raw); i++ {
+			if raw[i].ArrivalSeconds < raw[i-1].ArrivalSeconds {
+				return // only ReadTrace sorts
+			}
+		}
+		got, err := collect(&checkedSource{src: StreamTrace(strings.NewReader(doc)), cores: math.MaxInt})
+		if accepted := err == nil && len(got) > 0; accepted != (rerr == nil) {
+			t.Fatalf("on sorted input StreamTrace accepts=%v (%v), ReadTrace %v", accepted, err, rerr)
+		}
+		if rerr == nil && !reflect.DeepEqual(got, want.Jobs) {
+			t.Fatal("StreamTrace and ReadTrace decode different jobs")
 		}
 	})
 }

@@ -136,6 +136,67 @@ func TestReflowDeterministic(t *testing.T) {
 	}
 }
 
+// TestReflowKeepsRatesCurrent pins the reflow's skip of clean sockets
+// as exact: over random interference traces, with and without faults,
+// after every engine step each resident's rate equals a fresh
+// evaluation of its node's socket rates, bit for bit. A placement or
+// completion that failed to mark its socket dirty would leave the
+// socket's other residents at a stale rate.
+func TestReflowKeepsRatesCurrent(t *testing.T) {
+	stretched := 0
+	for seed := int64(0); seed < 40; seed++ {
+		for _, pol := range propertyPolicies() {
+			for _, faults := range []bool{false, true} {
+				catalog, _ := propertyCatalog()
+				tr, err := Synthetic(catalog, SyntheticConfig{Jobs: 30, MeanInterarrivalSeconds: 6, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				// variedEst spreads jobs over both device sockets with
+				// demands that exceed the Gen-1 budgets.
+				opt := Options{Nodes: 2, CoresPerSocket: 8, Policy: pol, Estimator: variedEst{}, Interference: DefaultInterference()}
+				if faults {
+					opt.Faults = RandomFaults(240, 30, seed+1)
+				}
+				e, err := newEngine(opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.src = tr.Source()
+				if err := e.pull(); err != nil {
+					t.Fatal(err)
+				}
+				for e.src != nil || e.finished < len(e.states) {
+					head, ok := e.events.peek()
+					if !ok {
+						t.Fatalf("seed %d, %s, faults %v: event heap drained with jobs unfinished", seed, pol.Name(), faults)
+					}
+					if _, err := e.step(head.at, false); err != nil {
+						t.Fatal(err)
+					}
+					for _, n := range e.nodes {
+						rates := n.socketRates(opt.Interference)
+						for _, r := range n.Running {
+							st := e.states[r.JobID]
+							want := rates(st.profile)
+							if math.Float64bits(st.rate) != math.Float64bits(want) {
+								t.Fatalf("seed %d, %s, faults %v, t=%g: job %d on node %d runs at rate %v, its socket gives %v",
+									seed, pol.Name(), faults, head.at, r.JobID, n.ID, st.rate, want)
+							}
+							if want < 1 {
+								stretched++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if stretched == 0 {
+		t.Fatal("no resident was ever stretched: the traces never exercise contention")
+	}
+}
+
 // TestAwarePlacementSeparatesStreams: two bandwidth-bound jobs and two
 // free nodes. First fit stacks both on node 0 and they dilate;
 // interference-aware placement sends the second to node 1 and nobody
@@ -220,5 +281,35 @@ func TestEarliestFitAfterMultipleCompletions(t *testing.T) {
 	}
 	if got := n.EarliestFit(1, 2, 0); got != 6 {
 		t.Errorf("EarliestFit(2 ranks) = %g, want 6", got)
+	}
+}
+
+// BenchmarkReflow times one reflow of a 1k-node engine whose nodes
+// each hold two contending residents on both sockets, with one socket
+// marked dirty per reflow, as a single placement or completion leaves
+// it.
+func BenchmarkReflow(b *testing.B) {
+	e, err := newEngine(Options{Nodes: 1000, CoresPerSocket: 8, Policy: FCFS(core.SLocW), Estimator: fakeEst{},
+		Interference: DefaultInterference()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range e.nodes {
+		for k := 0; k < 4; k++ {
+			prof := JobProfile{IOFraction: 0.6, ReadBytesPerSecond: 2e10, WriteBytesPerSecond: 1e10, DeviceSocket: k % 2}
+			st := e.addJob(Job{ID: len(e.states)})
+			st.phase, st.node, st.duration, st.profile = JobRunning, n.ID, 1e9, prof
+			n.place(st.job.ID, 2, st.duration, 0, prof)
+			e.dirty.mark(n.ID, prof.DeviceSocket)
+		}
+	}
+	e.reflow(0) // rate every resident
+	now := 0.0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now += 1e-3
+		e.dirty.mark(i%len(e.nodes), i%2)
+		e.reflow(now)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -43,9 +44,10 @@ func propertyCatalog() ([]workflow.Spec, fakeEst) {
 			specs[5].Name: 25,
 		},
 		prof: map[string]JobProfile{
-			// The streaming job saturates a socket on its own; the others
+			// The streaming job saturates a socket on its own (its write
+			// demand exceeds the Gen-1 13.9 GB/s budget); the others
 			// barely load it.
-			specs[5].Name: {IOFraction: 0.8, ReadBytesPerSecond: 3e9, WriteBytesPerSecond: 3e9},
+			specs[5].Name: {IOFraction: 0.8, ReadBytesPerSecond: 1.5e10, WriteBytesPerSecond: 1.5e10},
 			specs[1].Name: {IOFraction: 0.2, ReadBytesPerSecond: 4e8, WriteBytesPerSecond: 4e8},
 		},
 	}
@@ -288,9 +290,22 @@ func checkInvariants(t *testing.T, label string, m *Metrics, tr Trace, opt Optio
 	}
 }
 
+// reportBody serializes a report's records and summary: the report
+// without its utilization series.
+func reportBody(t *testing.T, m *Metrics) []byte {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Summary Summary
+		Jobs    []JobRecord
+	}{m.Summary(), m.Records})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // closeRel is a relative-error comparison for values that may differ
-// by floating-point association (the incremental reflow's telescoped
-// progress sums).
+// by floating-point association (SummaryOnly's completion-order sums).
 func closeRel(a, b float64) bool {
 	if a == b {
 		return true
@@ -323,6 +338,7 @@ func TestPropertyRandomTraces(t *testing.T) {
 			return Options{Interference: DefaultInterference(), Faults: RandomFaults(240, 30, seed+1)}
 		}},
 	}
+	stretched := 0
 	for seed := int64(0); seed < 50; seed++ {
 		for _, pol := range propertyPolicies() {
 			for _, v := range variants {
@@ -335,6 +351,9 @@ func TestPropertyRandomTraces(t *testing.T) {
 				opt.Estimator = est
 				m, tr := simulateFresh(t, seed, opt)
 				checkInvariants(t, label, m, tr, opt)
+				if m.Summary().MaxStretch > 1.05 { // beyond float noise
+					stretched++
+				}
 
 				var first, second bytes.Buffer
 				if err := m.WriteJSON(&first); err != nil {
@@ -355,27 +374,23 @@ func TestPropertyRandomTraces(t *testing.T) {
 					return lin
 				})
 
-				// The fleet options trade byte-compatibility for bounded
-				// per-event work, not correctness: the same sim under
-				// incremental reflow and sample dedup must satisfy every
-				// structural invariant and agree with the exact run up to
-				// floating-point association.
+				// Sample dedup drops series points, nothing else: the same
+				// sim with it on must satisfy every structural invariant and
+				// carry the exact run's records and summary byte for byte.
 				fleetOpt := opt
-				fleetOpt.Fleet = FleetOptions{IncrementalReflow: true, DedupSamples: true}
+				fleetOpt.Fleet = FleetOptions{DedupSamples: true}
 				fm, ftr := simulateFresh(t, seed, fleetOpt)
-				checkInvariants(t, label+", fleet", fm, ftr, fleetOpt)
+				checkInvariants(t, label+", dedup", fm, ftr, fleetOpt)
 				if len(fm.Series) > len(m.Series) {
 					t.Errorf("%s: dedup produced more samples (%d) than the exact run (%d)", label, len(fm.Series), len(m.Series))
 				}
-				fs, es := fm.Summary(), m.Summary()
-				if fs.Jobs != es.Jobs || fs.CompletedJobs != es.CompletedJobs || fs.FailedJobs != es.FailedJobs || fs.TotalAttempts != es.TotalAttempts {
-					t.Errorf("%s: fleet run job counts diverged: %+v vs %+v", label, fs, es)
-				}
-				if !closeRel(fs.MakespanSeconds, es.MakespanSeconds) || !closeRel(fs.MeanWaitSeconds, es.MeanWaitSeconds) ||
-					!closeRel(fs.MeanBoundedSlowdown, es.MeanBoundedSlowdown) || !closeRel(fs.MeanStretch, es.MeanStretch) {
-					t.Errorf("%s: fleet run summary drifted beyond fp association: %+v vs %+v", label, fs, es)
+				if got, want := reportBody(t, fm), reportBody(t, m); !bytes.Equal(got, want) {
+					t.Errorf("%s: dedup run's records or summary differ from the exact run's", label)
 				}
 			}
 		}
+	}
+	if stretched == 0 {
+		t.Error("no interference run stretched a job: the catalog never exercises contention")
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"pmemsched/internal/workflow"
 	"pmemsched/internal/workloads"
@@ -150,22 +151,14 @@ func decodeTraceJob(jj traceJobJSON) (Job, error) {
 
 // ReadTrace decodes and validates a job trace from JSON. Jobs are
 // sorted by arrival time (stably, preserving file order among equal
-// arrivals) and numbered in that order.
+// arrivals) and numbered in that order. It drains the decoder
+// StreamTrace returns, so the two accept exactly the same documents.
 func ReadTrace(r io.Reader) (Trace, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var tj traceJSON
-	if err := dec.Decode(&tj); err != nil {
-		return Trace{}, fmt.Errorf("cluster: decoding trace: %w", err)
+	jobs, err := collect(StreamTrace(r))
+	if err != nil {
+		return Trace{}, fmt.Errorf("cluster: %w", err)
 	}
-	var tr Trace
-	for i, jj := range tj.Jobs {
-		j, err := decodeTraceJob(jj)
-		if err != nil {
-			return Trace{}, fmt.Errorf("cluster: trace job %d: %w", i, err)
-		}
-		tr.Jobs = append(tr.Jobs, j)
-	}
+	tr := Trace{Jobs: jobs}
 	sort.SliceStable(tr.Jobs, func(a, b int) bool {
 		return tr.Jobs[a].ArrivalSeconds < tr.Jobs[b].ArrivalSeconds
 	})
@@ -233,55 +226,83 @@ func (s *traceSliceSource) Next() (Job, bool, error) {
 	return j, true, nil
 }
 
+// collect drains a trace source into a slice.
+func collect(src TraceSource) ([]Job, error) {
+	var jobs []Job
+	for {
+		j, ok, err := src.Next()
+		if err != nil || !ok {
+			return jobs, err
+		}
+		jobs = append(jobs, j)
+	}
+}
+
 // StreamTrace decodes the ReadTrace JSON schema incrementally: one job
 // is decoded per Next call, so a million-job trace file streams
 // through constant memory. Unlike ReadTrace it cannot sort, so the
 // file must already be in arrival order (jobs are numbered as they
 // stream; an out-of-order arrival surfaces as an engine validation
-// error).
+// error). Unknown fields, a truncated document and anything after the
+// job array other than the closing brace are errors.
 func StreamTrace(r io.Reader) TraceSource {
-	return &jsonTraceSource{dec: json.NewDecoder(r)}
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return &jsonTraceSource{dec: dec}
 }
 
 type jsonTraceSource struct {
 	dec     *json.Decoder
 	started bool // consumed the opening {"jobs": [
+	done    bool // consumed the closing ]} and hit the end of input
 	id      int
 }
 
-// start consumes tokens up to the first element of the jobs array.
-func (s *jsonTraceSource) start() error {
-	if tok, err := s.dec.Token(); err != nil {
-		return fmt.Errorf("decoding trace: %w", err)
-	} else if d, ok := tok.(json.Delim); !ok || d != '{' {
-		return fmt.Errorf("decoding trace: want top-level object, got %v", tok)
+// expect consumes the next token and checks it is want. The "jobs"
+// key matches case-insensitively, as encoding/json matches field
+// names, and the end of input is unexpected anywhere inside the trace
+// object.
+func (s *jsonTraceSource) expect(want json.Token) error {
+	tok, err := s.dec.Token()
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
 	}
-	if tok, err := s.dec.Token(); err != nil {
+	if err != nil {
 		return fmt.Errorf("decoding trace: %w", err)
-	} else if key, ok := tok.(string); !ok || key != "jobs" {
-		return fmt.Errorf("decoding trace: want %q key, got %v", "jobs", tok)
 	}
-	if tok, err := s.dec.Token(); err != nil {
-		return fmt.Errorf("decoding trace: %w", err)
-	} else if d, ok := tok.(json.Delim); !ok || d != '[' {
-		return fmt.Errorf("decoding trace: want job array, got %v", tok)
+	if key, ok := tok.(string); tok == want || ok && want == "jobs" && strings.EqualFold(key, "jobs") {
+		return nil
 	}
-	s.started = true
-	return nil
+	return fmt.Errorf("decoding trace: want %v, got %v", want, tok)
 }
 
 func (s *jsonTraceSource) Next() (Job, bool, error) {
+	if s.done {
+		return Job{}, false, nil
+	}
 	if !s.started {
-		if err := s.start(); err != nil {
-			return Job{}, false, err
+		for _, want := range []json.Token{json.Delim('{'), "jobs", json.Delim('[')} {
+			if err := s.expect(want); err != nil {
+				return Job{}, false, err
+			}
 		}
+		s.started = true
 	}
 	if !s.dec.More() {
+		for _, want := range []json.Token{json.Delim(']'), json.Delim('}')} {
+			if err := s.expect(want); err != nil {
+				return Job{}, false, err
+			}
+		}
+		if _, err := s.dec.Token(); err != io.EOF {
+			return Job{}, false, fmt.Errorf("decoding trace: data after the trace object")
+		}
+		s.done = true
 		return Job{}, false, nil
 	}
 	var jj traceJobJSON
 	if err := s.dec.Decode(&jj); err != nil {
-		return Job{}, false, fmt.Errorf("decoding trace: %w", err)
+		return Job{}, false, fmt.Errorf("decoding trace job %d: %w", s.id, err)
 	}
 	j, err := decodeTraceJob(jj)
 	if err != nil {
@@ -308,39 +329,28 @@ type SyntheticConfig struct {
 // Synthetic draws a job trace from the catalog: workloads are sampled
 // uniformly and arrivals follow a Poisson process. All randomness comes
 // from the config's seed — never from the global source — so the
-// generator is reproducible.
+// generator is reproducible. It collects SyntheticSource, so the two
+// draw the same jobs by construction.
 func Synthetic(catalog []workflow.Spec, cfg SyntheticConfig) (Trace, error) {
-	if len(catalog) == 0 {
-		return Trace{}, fmt.Errorf("cluster: empty workload catalog")
+	src, err := SyntheticSource(catalog, cfg)
+	if err != nil {
+		return Trace{}, err
 	}
-	if cfg.Jobs <= 0 {
-		return Trace{}, fmt.Errorf("cluster: synthetic trace needs a positive job count (got %d)", cfg.Jobs)
+	jobs, err := collect(src)
+	if err != nil {
+		return Trace{}, err
 	}
-	if cfg.MeanInterarrivalSeconds <= 0 {
-		return Trace{}, fmt.Errorf("cluster: synthetic trace needs a positive mean inter-arrival (got %g)", cfg.MeanInterarrivalSeconds)
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	var tr Trace
-	at := 0.0
-	for i := 0; i < cfg.Jobs; i++ {
-		tr.Jobs = append(tr.Jobs, Job{
-			ID:             i,
-			Workflow:       catalog[rng.Intn(len(catalog))],
-			ArrivalSeconds: at,
-		})
-		at += rng.ExpFloat64() * cfg.MeanInterarrivalSeconds
-	}
+	tr := Trace{Jobs: jobs}
 	if err := tr.Validate(); err != nil {
 		return Trace{}, err
 	}
 	return tr, nil
 }
 
-// SyntheticSource is Synthetic as a stream: it draws the same jobs in
-// the same order from the same seed (draw-for-draw identical, so a
-// SyntheticSource run reproduces a Synthetic run byte for byte) but
-// materializes one job at a time, which is what makes million-job
-// fleet benchmarks fit in memory.
+// SyntheticSource is Synthetic as a stream: the same jobs in the same
+// order from the same seed (a SyntheticSource run reproduces a
+// Synthetic run byte for byte), materialized one at a time, which is
+// what makes million-job fleet benchmarks fit in memory.
 func SyntheticSource(catalog []workflow.Spec, cfg SyntheticConfig) (TraceSource, error) {
 	if len(catalog) == 0 {
 		return nil, fmt.Errorf("cluster: empty workload catalog")
