@@ -39,22 +39,23 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"pmemsched/internal/cli"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
+	"pmemsched/internal/cli"
 	"pmemsched/internal/core"
 	"pmemsched/internal/schedd"
 )
 
 // benchDoc is the BENCH_schedd.json schema, version
 // "pmemsched/bench-schedd/v1". The warm section is machine-dependent
-// wall-clock measurement; the daemon section echoes /metrics counters
-// at the end of the run.
+// wall-clock measurement, so env records the machine and toolchain;
+// the daemon section echoes /metrics counters at the end of the run.
 type benchDoc struct {
 	Schema string      `json:"schema"`
+	Env    cli.Env     `json:"env"`
 	Config benchConfig `json:"config"`
 	// Warm is the timed warm-cache phase: every request a repeat of a
 	// warmed decision.
@@ -198,6 +199,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	doc := benchDoc{
 		Schema: "pmemsched/bench-schedd/v1",
+		Env:    cli.Stamp(),
 		Config: benchConfig{
 			Clients:          *clients,
 			DurationSeconds:  duration.Seconds(),
@@ -261,7 +263,7 @@ func selfHost(workers, clients int) (string, func() error, error) {
 		srv.Close()
 		return "", nil, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	served := make(chan error, 1)
 	go func() { served <- httpSrv.Serve(ln) }()
 	shutdown := func() error {

@@ -53,6 +53,9 @@ func TestSelfHostedRun(t *testing.T) {
 	if doc.Schema != "pmemsched/bench-schedd/v1" {
 		t.Errorf("schema %q", doc.Schema)
 	}
+	if doc.Env.GoVersion == "" || doc.Env.GOMAXPROCS <= 0 || doc.Env.CPUModel == "" || doc.Env.Commit == "" {
+		t.Errorf("incomplete environment stamp: %+v", doc.Env)
+	}
 	if doc.Warm.Requests == 0 || doc.Warm.ThroughputRPS <= 0 {
 		t.Errorf("empty timed phase: %+v", doc.Warm)
 	}

@@ -27,13 +27,9 @@ import (
 	"io"
 	"os"
 
-	"pmemsched"
 	"pmemsched/internal/cli"
 	"pmemsched/internal/cluster"
 	"pmemsched/internal/core"
-	"pmemsched/internal/stack"
-	"pmemsched/internal/stack/nova"
-	"pmemsched/internal/stack/nvstream"
 	"pmemsched/internal/workflow"
 	"pmemsched/internal/workloads"
 )
@@ -69,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nodeDRAM := fs.Float64("node-dram", 0, "per-node DRAM capacity in GiB schedulable by tiered jobs (0 = DRAM unmodeled)")
 	stream := fs.Bool("stream", false, "stream the trace through the engine (constant memory; -trace files must already be sorted by arrival)")
 	summaryOnly := fs.Bool("summary-only", false, "aggregate on the fly and emit only the summary (constant memory; fleet-scale runs)")
-	dedupSamples := fs.Bool("dedup-samples", false, "drop consecutive identical utilization samples from the series")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -114,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.Sayf(stderr, "wfsched: -node-dram must be non-negative, got %g\n", *nodeDRAM)
 		return 2
 	}
-	env, err := envFor(*stackName)
+	env, err := cli.StackEnv(*stackName)
 	if err != nil {
 		cli.Sayln(stderr, "wfsched:", err)
 		return 2
@@ -135,10 +130,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Nodes:     *nodes,
 		Policy:    policy,
 		Estimator: cluster.NewEstimator(rt),
-		Fleet: cluster.FleetOptions{
-			DedupSamples: *dedupSamples,
-			SummaryOnly:  *summaryOnly,
-		},
+		Fleet:     cluster.FleetOptions{SummaryOnly: *summaryOnly},
 	}
 	opt.DRAMBytesPerNode = *nodeDRAM * 1024 * 1024 * 1024
 	if *interference {
@@ -370,17 +362,4 @@ func faultOptions(opt *cluster.Options, faults bool, schedule string, mtbf, mttr
 	retry.CheckpointIntervalSeconds = checkpoint
 	opt.Retry = retry
 	return nil
-}
-
-func envFor(name string) (core.Env, error) {
-	env := pmemsched.DefaultEnv()
-	switch name {
-	case "nova":
-		env.NewStack = func() stack.Instance { return nova.Default() }
-	case "nvstream":
-		env.NewStack = func() stack.Instance { return nvstream.Default() }
-	default:
-		return env, fmt.Errorf("unknown stack %q (want nova or nvstream)", name)
-	}
-	return env, nil
 }

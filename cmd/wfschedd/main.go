@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"io"
 	"log/slog"
 	"net"
@@ -30,14 +29,10 @@ import (
 	"syscall"
 	"time"
 
-	"pmemsched"
 	"pmemsched/internal/cli"
 	"pmemsched/internal/cluster"
 	"pmemsched/internal/core"
 	"pmemsched/internal/schedd"
-	"pmemsched/internal/stack"
-	"pmemsched/internal/stack/nova"
-	"pmemsched/internal/stack/nvstream"
 )
 
 func main() {
@@ -69,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	env, err := envFor(*stackName)
+	env, err := cli.StackEnv(*stackName)
 	if err != nil {
 		cli.Sayln(stderr, "wfschedd:", err)
 		return 2
@@ -124,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cli.Sayf(stdout, "wfschedd: listening on http://%s (policy %s, stack %s)\n",
 		ln.Addr(), *policyName, *stackName)
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer()
 	served := make(chan error, 1)
 	go func() { served <- httpSrv.Serve(ln) }()
 
@@ -150,17 +145,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-}
-
-func envFor(name string) (core.Env, error) {
-	env := pmemsched.DefaultEnv()
-	switch name {
-	case "nova":
-		env.NewStack = func() stack.Instance { return nova.Default() }
-	case "nvstream":
-		env.NewStack = func() stack.Instance { return nvstream.Default() }
-	default:
-		return env, fmt.Errorf("unknown stack %q (want nova or nvstream)", name)
-	}
-	return env, nil
 }

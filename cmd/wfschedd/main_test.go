@@ -169,9 +169,3 @@ func TestPortCollision(t *testing.T) {
 		t.Errorf("stderr %q does not explain the bind failure", stderr.String())
 	}
 }
-
-func TestEnvForError(t *testing.T) {
-	if _, err := envFor("ext4"); err == nil || !strings.Contains(err.Error(), "unknown stack") {
-		t.Errorf("envFor(ext4) error %v", err)
-	}
-}

@@ -19,10 +19,7 @@ import (
 	"strings"
 
 	"pmemsched"
-	"pmemsched/internal/core"
-	"pmemsched/internal/stack"
-	"pmemsched/internal/stack/nova"
-	"pmemsched/internal/stack/nvstream"
+	"pmemsched/internal/cli"
 )
 
 func main() {
@@ -41,7 +38,7 @@ func main() {
 		return
 	}
 
-	env, err := envFor(*stackName)
+	env, err := cli.StackEnv(*stackName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wfsuite:", err)
 		os.Exit(2)
@@ -102,17 +99,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wfsuite: run engine: %d runs (%d cache hits, %d misses, %d in-flight joins, %.1f%% hit rate), %d cached entries, %d workers\n",
 			s.Runs(), s.Hits, s.Misses, s.Inflight, s.HitRate()*100, s.Entries, rt.Workers())
 	}
-}
-
-func envFor(name string) (core.Env, error) {
-	env := pmemsched.DefaultEnv()
-	switch name {
-	case "nova":
-		env.NewStack = func() stack.Instance { return nova.Default() }
-	case "nvstream":
-		env.NewStack = func() stack.Instance { return nvstream.Default() }
-	default:
-		return env, fmt.Errorf("unknown stack %q (want nova or nvstream)", name)
-	}
-	return env, nil
 }

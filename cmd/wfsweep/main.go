@@ -42,9 +42,10 @@ func main() {
 	var t *trace.Table
 	var err error
 	if *computeArg != "" {
-		t, err = computeSweep(rt, parseFloats(*computeArg), *sizeFix, *ranksFix)
+		t, err = computeSweep(rt, parseList(*computeArg, "float", func(p string) (float64, error) { return strconv.ParseFloat(p, 64) }), *sizeFix, *ranksFix)
 	} else {
-		t, err = sizeSweep(rt, parseInts64(*sizesArg), parseInts(*ranksArg))
+		t, err = sizeSweep(rt, parseList(*sizesArg, "size", func(p string) (int64, error) { return strconv.ParseInt(p, 10, 64) }),
+			parseList(*ranksArg, "integer", strconv.Atoi))
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wfsweep:", err)
@@ -110,38 +111,14 @@ func computeSweep(rt *core.Runner, computes []float64, size int64, ranks int) (*
 	return t, nil
 }
 
-func parseInts(s string) []int {
-	var out []int
+// parseList parses a comma-separated flag value, exiting with a usage
+// error that names the bad element.
+func parseList[T any](s, what string, parse func(string) (T, error)) []T {
+	var out []T
 	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
+		v, err := parse(strings.TrimSpace(p))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "wfsweep: bad integer %q\n", p)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseInts64(s string) []int64 {
-	var out []int64
-	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wfsweep: bad size %q\n", p)
-			os.Exit(2)
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func parseFloats(s string) []float64 {
-	var out []float64
-	for _, p := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wfsweep: bad float %q\n", p)
+			fmt.Fprintf(os.Stderr, "wfsweep: bad %s %q\n", what, p)
 			os.Exit(2)
 		}
 		out = append(out, v)

@@ -33,8 +33,9 @@ rand.NewSource are therefore allowed.`,
 // scheduler (whose virtual clock must never touch the real one), the
 // experiment harness whose reports must be byte-reproducible, and the
 // wfsched CLI, which drives cluster simulations whose outputs are
-// golden-checked. cmd/fleetbench is deliberately out of scope: its
-// whole point is measuring wall time around the deterministic engine.
+// golden-checked. The other commands are deliberately out of scope:
+// cmd/schedload's whole point is measuring wall time around the
+// deterministic engine and daemon.
 var scopeRE = regexp.MustCompile(`internal/(sim|core|pmem|workflow|cluster|experiments)$|(^|/)cmd/wfsched$`)
 
 // bannedTime are the time-package functions that read the wall clock.

@@ -505,14 +505,10 @@ type Options struct {
 
 // FleetOptions are the engine trade-offs for fleet-scale traces (1k
 // nodes, 1M jobs). Unlike the free-capacity index and the socket-local
-// reflow — always on, exactly equivalent — each of these changes
-// observable output in a bounded, documented way, so each defaults off
+// reflow — always on, exactly equivalent — SummaryOnly changes
+// observable output in a bounded, documented way, so it defaults off
 // and golden-pinned small-trace runs stay byte-identical.
 type FleetOptions struct {
-	// DedupSamples drops a utilization sample when no node's occupancy
-	// changed since the previous sample, bounding Metrics.Series by the
-	// number of occupancy changes instead of the number of event times.
-	DedupSamples bool
 	// SummaryOnly folds each job into the summary aggregates the moment
 	// it finishes and keeps no per-job records and no utilization
 	// series — constant memory regardless of trace length. Jobs

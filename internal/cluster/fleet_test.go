@@ -431,44 +431,3 @@ func TestSummaryOnly(t *testing.T) {
 		t.Error("summary-only JSON still carries per-job records")
 	}
 }
-
-// TestDedupSamples checks the sampling bugfix: with the option on, no
-// two consecutive series points carry identical occupancy (the
-// redundant points a long fault schedule used to accumulate), and the
-// series is a subsequence of the exact run's.
-func TestDedupSamples(t *testing.T) {
-	catalog, est := propertyCatalog()
-	tr, err := Synthetic(catalog, SyntheticConfig{Jobs: 25, MeanInterarrivalSeconds: 6, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt := Options{Nodes: 2, CoresPerSocket: 8, Policy: EASY(core.SLocW), Estimator: est,
-		Faults: RandomFaults(150, 40, 11)}
-	full, err := Simulate(tr, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dd := opt
-	dd.Fleet.DedupSamples = true
-	m, err := Simulate(tr, dd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Series) >= len(full.Series) {
-		t.Fatalf("dedup kept %d of %d samples; the fault schedule must have produced duplicates", len(m.Series), len(full.Series))
-	}
-	for i := 1; i < len(m.Series); i++ {
-		if fmt.Sprint(m.Series[i].CoresInUse) == fmt.Sprint(m.Series[i-1].CoresInUse) {
-			t.Fatalf("consecutive identical samples survived dedup at %d", i)
-		}
-	}
-	full2 := 0
-	for _, s := range m.Series {
-		for full2 < len(full.Series) && fmt.Sprint(full.Series[full2]) != fmt.Sprint(s) {
-			full2++
-		}
-		if full2 == len(full.Series) {
-			t.Fatal("deduped series is not a subsequence of the exact series")
-		}
-	}
-}

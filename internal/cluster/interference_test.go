@@ -284,12 +284,11 @@ func TestEarliestFitAfterMultipleCompletions(t *testing.T) {
 	}
 }
 
-// BenchmarkReflow times one reflow of a 1k-node engine whose nodes
-// each hold two contending residents on both sockets, with one socket
-// marked dirty per reflow, as a single placement or completion leaves
-// it.
-func BenchmarkReflow(b *testing.B) {
-	e, err := newEngine(Options{Nodes: 1000, CoresPerSocket: 8, Policy: FCFS(core.SLocW), Estimator: fakeEst{},
+// fleetEngine builds a 1k-node engine under the interference model
+// whose nodes are full: each holds four 2-rank residents, two
+// contending for each socket's device. Every resident is rated.
+func fleetEngine(b *testing.B, pol Policy, est Estimator) *engine {
+	e, err := newEngine(Options{Nodes: 1000, CoresPerSocket: 8, Policy: pol, Estimator: est,
 		Interference: DefaultInterference()})
 	if err != nil {
 		b.Fatal(err)
@@ -300,10 +299,19 @@ func BenchmarkReflow(b *testing.B) {
 			st := e.addJob(Job{ID: len(e.states)})
 			st.phase, st.node, st.duration, st.profile = JobRunning, n.ID, 1e9, prof
 			n.place(st.job.ID, 2, st.duration, 0, prof)
+			e.idx.place(n.ID, 2)
 			e.dirty.mark(n.ID, prof.DeviceSocket)
 		}
 	}
-	e.reflow(0) // rate every resident
+	e.reflow(0)
+	return e
+}
+
+// BenchmarkReflow times one reflow of a full 1k-node engine with one
+// socket marked dirty per reflow, as a single placement or completion
+// leaves it.
+func BenchmarkReflow(b *testing.B) {
+	e := fleetEngine(b, FCFS(core.SLocW), fakeEst{})
 	now := 0.0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -311,5 +319,30 @@ func BenchmarkReflow(b *testing.B) {
 		now += 1e-3
 		e.dirty.mark(i%len(e.nodes), i%2)
 		e.reflow(now)
+	}
+}
+
+// BenchmarkPolicyPass times one policy pass of the interference-aware
+// PMEM policy over a full 1k-node engine with eight queued jobs. No
+// job fits anywhere, so the head's reservation scans every node's
+// residents, the backfill probes the index for the rest, the pass
+// commits nothing and every iteration sees the same state.
+func BenchmarkPolicyPass(b *testing.B) {
+	catalog, est := propertyCatalog()
+	e := fleetEngine(b, PMEMAwareInterferenceAware(), est)
+	for i := 0; i < 8; i++ {
+		st := e.addJob(Job{ID: len(e.states), Workflow: catalog[i%len(catalog)]})
+		st.phase = JobQueued
+		e.pending = append(e.pending, st.job)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.pass(0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if len(e.pending) != 8 {
+		b.Fatalf("the pass placed %d jobs on a full fleet", 8-len(e.pending))
 	}
 }

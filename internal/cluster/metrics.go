@@ -107,7 +107,6 @@ type Metrics struct {
 	bound        float64
 	interference bool
 	faults       bool
-	dedup        bool      // drop consecutive identical utilization samples
 	summaryOnly  bool      // aggregate on the fly; keep no records or series
 	jobs         int       // jobs aggregated (== len(Records) unless summaryOnly)
 	busy         []float64 // per-node busy core-seconds, integrated between events
@@ -126,7 +125,6 @@ func newMetrics(policy string, nodes, cores int, bound float64, interference, fa
 		bound:        bound,
 		interference: interference,
 		faults:       faults,
-		dedup:        fleet.DedupSamples,
 		summaryOnly:  fleet.SummaryOnly,
 		busy:         make([]float64, nodes),
 	}
@@ -150,25 +148,7 @@ func (m *Metrics) sample(now float64, occ []int) {
 	if m.summaryOnly {
 		return
 	}
-	if m.dedup && m.sameAsLast(occ) {
-		return
-	}
 	m.Series = append(m.Series, Sample{TimeSeconds: now, CoresInUse: append([]int(nil), occ...)})
-}
-
-// sameAsLast reports whether occupancy is unchanged since the last
-// recorded sample (the DedupSamples fleet option).
-func (m *Metrics) sameAsLast(occ []int) bool {
-	if len(m.Series) == 0 {
-		return false
-	}
-	last := m.Series[len(m.Series)-1].CoresInUse
-	for i, c := range occ {
-		if last[i] != c {
-			return false
-		}
-	}
-	return true
 }
 
 // record registers a finished job. Under the interference model the

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
@@ -127,8 +126,8 @@ func (r *linearRef) Schedule(ctx *SchedContext) ([]Placement, error) {
 // checkLinearRef reruns opt under linearRef and demands the indexed
 // run's report bytes, plus a utilization series — sampled from the
 // engine's incrementally kept occupancy array — equal to the
-// reference's node scans pass by pass. opt must not dedup samples or
-// drop the series.
+// reference's node scans pass by pass. opt must not drop the series
+// (SummaryOnly).
 func checkLinearRef(t *testing.T, label string, opt Options, indexed *Metrics, run func(Options) *Metrics) {
 	t.Helper()
 	ref := &linearRef{t: t, inner: opt.Policy}
@@ -290,20 +289,6 @@ func checkInvariants(t *testing.T, label string, m *Metrics, tr Trace, opt Optio
 	}
 }
 
-// reportBody serializes a report's records and summary: the report
-// without its utilization series.
-func reportBody(t *testing.T, m *Metrics) []byte {
-	t.Helper()
-	b, err := json.Marshal(struct {
-		Summary Summary
-		Jobs    []JobRecord
-	}{m.Summary(), m.Records})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // closeRel is a relative-error comparison for values that may differ
 // by floating-point association (SummaryOnly's completion-order sums).
 func closeRel(a, b float64) bool {
@@ -373,20 +358,6 @@ func TestPropertyRandomTraces(t *testing.T) {
 					lin, _ := simulateFresh(t, seed, o)
 					return lin
 				})
-
-				// Sample dedup drops series points, nothing else: the same
-				// sim with it on must satisfy every structural invariant and
-				// carry the exact run's records and summary byte for byte.
-				fleetOpt := opt
-				fleetOpt.Fleet = FleetOptions{DedupSamples: true}
-				fm, ftr := simulateFresh(t, seed, fleetOpt)
-				checkInvariants(t, label+", dedup", fm, ftr, fleetOpt)
-				if len(fm.Series) > len(m.Series) {
-					t.Errorf("%s: dedup produced more samples (%d) than the exact run (%d)", label, len(fm.Series), len(m.Series))
-				}
-				if got, want := reportBody(t, fm), reportBody(t, m); !bytes.Equal(got, want) {
-					t.Errorf("%s: dedup run's records or summary differ from the exact run's", label)
-				}
 			}
 		}
 	}

@@ -456,3 +456,23 @@ func TestRunnerStatsEntriesAndHitRate(t *testing.T) {
 		t.Errorf("hit rate = %g, want in (0, 1): repeats hit, distinct jobs missed", s.HitRate())
 	}
 }
+
+// BenchmarkRunnerHit measures the runner's hit path: the run key's
+// fingerprint plus the lookup of a warm key.
+func BenchmarkRunnerHit(b *testing.B) {
+	rt := NewRunner(DefaultEnv(), 1)
+	wf := workloads.GTCReadOnly(16)
+	if _, err := rt.Run(wf, SLocW); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := rt.Run(wf, SLocW); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if st := rt.Stats(); st.Misses != 1 {
+		b.Fatalf("%d misses, want the one warming run", st.Misses)
+	}
+}

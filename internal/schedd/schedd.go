@@ -161,6 +161,20 @@ func New(cfg Config) (*Server, error) {
 // handler can still be running (http.Server.Shutdown has returned).
 func (s *Server) Close() { s.batch.close() }
 
+// The HTTP server's connection timeouts: a client that trickles
+// header bytes, or idles on a keep-alive connection, cannot hold a
+// connection and its goroutine forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// HTTPServer returns an http.Server for Handler with the daemon's
+// connection timeouts. Every front end serves the daemon through it.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // Handler returns the daemon's HTTP handler with the middleware chain
 // applied: request ID + structured log + per-endpoint metrics.
 func (s *Server) Handler() http.Handler { return s.instrument(s.mux) }

@@ -27,7 +27,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // newTestServer builds a daemon over the default environment and wraps
 // it in an httptest server. The mutate hook adjusts the config before
 // construction.
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *httptest.Server) {
 	t.Helper()
 	cfg := Config{Runner: core.NewRunner(core.DefaultEnv(), 0)}
 	if mutate != nil {
@@ -46,7 +46,7 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *httptest.Serve
 }
 
 // call performs one request and returns status and body.
-func call(t *testing.T, ts *httptest.Server, method, path, body string) (int, []byte) {
+func call(t testing.TB, ts *httptest.Server, method, path, body string) (int, []byte) {
 	t.Helper()
 	var rd io.Reader
 	if body != "" {
@@ -500,4 +500,56 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("New accepted a config without a runner")
 	}
+}
+
+// TestHTTPServerTimeouts pins the slowloris guard: the server both
+// front ends run must bound header reads and idle keep-alives.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv, _ := newTestServer(t, nil)
+	hs := srv.HTTPServer()
+	if hs.ReadHeaderTimeout <= 0 || hs.IdleTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout %v, IdleTimeout %v: both must be positive", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.Handler == nil {
+		t.Fatal("HTTPServer has no handler")
+	}
+}
+
+// BenchmarkRecommend measures one recommend round trip through the
+// in-process HTTP stack. Cold starts each request on a fresh daemon, so
+// it pays the profile and the four configuration runs; warm repeats a
+// cached decision, so it pays serving alone, batch window included.
+func BenchmarkRecommend(b *testing.B) {
+	const body = `{"name":"gtc+readonly","ranks":4}`
+	roundTrip := func(b *testing.B, ts *httptest.Server) {
+		if code, data := call(b, ts, http.MethodPost, "/v1/recommend", body); code != http.StatusOK {
+			b.Fatalf("status %d: %s", code, data)
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			srv, err := New(Config{Runner: core.NewRunner(core.DefaultEnv(), 0)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			b.StartTimer()
+			roundTrip(b, ts)
+			b.StopTimer()
+			ts.Close()
+			srv.Close()
+			b.StartTimer()
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		_, ts := newTestServer(b, nil)
+		roundTrip(b, ts)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			roundTrip(b, ts)
+		}
+	})
 }

@@ -276,3 +276,36 @@ func TestWriterAccountsAllTime(t *testing.T) {
 }
 
 var _ stack.Channel = (*nova.FS)(nil)
+
+// BenchmarkCompile measures compiling one component's rank programs:
+// the phase plan of each of 24 writer ranks streaming three object
+// populations to the remote socket's device.
+func BenchmarkCompile(b *testing.B) {
+	cfg := CompileConfig{
+		Component: ComponentSpec{
+			Name:                "sim",
+			ComputePerIteration: 0.5,
+			Objects: []ObjectSpec{
+				{Bytes: 2 * units.KiB, CountPerRank: 64},
+				{Bytes: 4 * units.MiB, CountPerRank: 8},
+				{Bytes: 64 * units.MiB, CountPerRank: 1},
+			},
+		},
+		Ranks:      24,
+		Iterations: 10,
+		Placement:  Placement{RankSocket: 0, DeviceSocket: 1},
+		Machine:    platform.Testbed(),
+		Stack:      nova.Default(),
+	}
+	var prog sim.Program
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < cfg.Ranks; r++ {
+			prog = WriterProgram(cfg, r)
+		}
+	}
+	if prog == nil {
+		b.Fatal("no program compiled")
+	}
+}
