@@ -106,6 +106,11 @@ type State struct {
 	// once the placing step returns: under interference the step's
 	// closing reflow rates the newcomer after commit.
 	placedBy []*jobState
+	// retired holds the final status of every completed job, whose
+	// engine state (spec, profile, reflow bookkeeping) is released at
+	// completion, as the batch driver's SummaryOnly mode does. A daemon
+	// that has served many jobs then keeps only these small records.
+	retired map[int]JobStatus
 }
 
 // NewState builds a store over opt.Nodes nodes (0 for a store whose
@@ -123,9 +128,12 @@ func NewState(opt Options) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &State{e: e}
+	s := &State{e: e, retired: make(map[int]JobStatus)}
 	e.finish = func(st *jobState) {
-		s.rec.Completed = append(s.rec.Completed, s.status(st))
+		js := s.status(st)
+		s.rec.Completed = append(s.rec.Completed, js)
+		s.retired[js.ID] = js
+		e.states[js.ID] = nil
 	}
 	e.placed = func(st *jobState, pl Placement) {
 		s.rec.Placed = append(s.rec.Placed, Placed{
@@ -191,7 +199,10 @@ func (s *State) Job(id int) (JobStatus, bool) {
 	if id < 0 || id >= len(s.e.states) {
 		return JobStatus{}, false
 	}
-	return s.status(s.e.states[id]), true
+	if st := s.e.states[id]; st != nil {
+		return s.status(st), true
+	}
+	return s.retired[id], true
 }
 
 func (s *State) status(st *jobState) JobStatus {

@@ -120,6 +120,54 @@ func TestStateMatchesSimulate(t *testing.T) {
 	}
 }
 
+// TestStateRetiredJobsKeepStatus: the store releases a job's engine
+// state when it completes, and Job keeps answering for it with exactly
+// the record Step.Completed reported, across many AdvanceTo calls.
+func TestStateRetiredJobsKeepStatus(t *testing.T) {
+	tr, err := SuiteTrace(11, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, model := range []Interference{{}, DefaultInterference()} {
+		st, err := NewState(Options{Nodes: 2, CoresPerSocket: 28, Policy: PMEMAwareInterferenceAware(), Estimator: variedEst{}, Interference: model})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range tr.Jobs {
+			if _, err := st.Submit(j.Workflow, j.ArrivalSeconds); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reported := map[int]JobStatus{}
+		for to := 0.0; len(reported) < len(tr.Jobs); to += 25 {
+			step, err := st.AdvanceTo(to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range step.Completed {
+				reported[c.ID] = c
+			}
+			// Jobs still in flight are served from live state.
+			for id := range tr.Jobs {
+				if _, done := reported[id]; done {
+					continue
+				}
+				if js, ok := st.Job(id); !ok || js.Phase == JobDone {
+					t.Fatalf("interference %v: unfinished job %d reads as (%+v, %v)", model.Enabled, id, js, ok)
+				}
+			}
+		}
+		for id, want := range reported {
+			if st.e.states[id] != nil {
+				t.Errorf("interference %v: completed job %d still holds its engine state", model.Enabled, id)
+			}
+			if got, ok := st.Job(id); !ok || got != want {
+				t.Errorf("interference %v: Job(%d) = (%+v, %v), Step.Completed said %+v", model.Enabled, id, got, ok, want)
+			}
+		}
+	}
+}
+
 // checkPlacedEnds replays tr through a fresh store one event instant
 // per AdvanceTo — the arrivals and the engine's completion times — so
 // no later instant re-rates a job inside the call that placed it. Each

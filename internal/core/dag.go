@@ -418,7 +418,7 @@ func TuneDAG(rt *Runner, d workflow.DAGSpec, opt DAGOptions) (TunedDAG, error) {
 	if err != nil {
 		return TunedDAG{}, err
 	}
-	seen := make(map[string]dagEval)
+	seen := make(map[cacheKey]dagEval)
 	eval := func(asg DAGAssignment) (dagEval, error) {
 		key := dagKey(rt.envKey, d, asg)
 		if ev, ok := seen[key]; ok {

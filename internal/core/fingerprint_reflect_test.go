@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"hash/fnv"
 	"reflect"
 	"testing"
 
@@ -13,6 +11,9 @@ import (
 // analyzer: the analyzer proves every exported field is *referenced* by
 // the key writers; these prove each field actually *changes* the key.
 // Both must fail when a future field is added but not hashed.
+
+// Two distinct environment fingerprints for the key tests.
+const envA, envB uint64 = 1, 2
 
 // mutation is one reflect-applied change to a single exported field
 // (or slice structure) reachable from a struct type.
@@ -102,10 +103,10 @@ func baseComponent() workflow.ComponentSpec {
 	}
 }
 
-func componentKey(c workflow.ComponentSpec) string {
-	h := fnv.New64a()
-	writeComponentFingerprint(h, "sim", c)
-	return fmt.Sprintf("%016x", h.Sum64())
+func componentKey(c workflow.ComponentSpec) cacheKey {
+	w := newKeyWriter(kindRun)
+	writeComponentFingerprint(&w, c)
+	return w.sum()
 }
 
 // TestComponentFingerprintCoversEveryField mutates each exported
@@ -123,7 +124,7 @@ func TestComponentFingerprintCoversEveryField(t *testing.T) {
 		c := baseComponent()
 		m.apply(reflect.ValueOf(&c).Elem())
 		if got := componentKey(c); got == baseKey {
-			t.Errorf("mutating %s did not change the component fingerprint %q; writeComponentFingerprint must hash it", m.name, got)
+			t.Errorf("mutating %s did not change the component fingerprint %v; writeComponentFingerprint must hash it", m.name, got)
 		}
 	}
 }
@@ -144,26 +145,26 @@ func TestRunKeyCoversSpecAndDeployment(t *testing.T) {
 	baseDep := func() Deployment {
 		return Deployment{Mode: Serial, SimSocket: 0, AnaSocket: 1, DeviceSocket: 1}
 	}
-	baseKey := runKey("env", baseSpec(), baseDep())
+	baseKey := runKey(envA, baseSpec(), baseDep())
 
 	for _, m := range fieldMutations(t, reflect.TypeOf(workflow.Spec{}), "Spec.") {
 		s := baseSpec()
 		m.apply(reflect.ValueOf(&s).Elem())
-		if runKey("env", s, baseDep()) == baseKey {
+		if runKey(envA, s, baseDep()) == baseKey {
 			t.Errorf("mutating %s did not change runKey", m.name)
 		}
 	}
 	for _, m := range fieldMutations(t, reflect.TypeOf(Deployment{}), "Deployment.") {
 		d := baseDep()
 		m.apply(reflect.ValueOf(&d).Elem())
-		if runKey("env", baseSpec(), d) == baseKey {
+		if runKey(envA, baseSpec(), d) == baseKey {
 			t.Errorf("mutating %s did not change runKey", m.name)
 		}
 	}
-	if runKey("env", baseSpec(), baseDep()) != baseKey {
+	if runKey(envA, baseSpec(), baseDep()) != baseKey {
 		t.Fatal("runKey is not deterministic for identical inputs")
 	}
-	if runKey("env2", baseSpec(), baseDep()) == baseKey {
+	if runKey(envB, baseSpec(), baseDep()) == baseKey {
 		t.Error("environment key does not perturb runKey")
 	}
 }
@@ -190,26 +191,26 @@ func TestDAGKeyCoversEveryField(t *testing.T) {
 			{Ranks: 4, Mode: Parallel, Place: LocR, Stack: "nv"},
 		}}
 	}
-	baseKey := dagKey("env", baseDAG(), baseAsg())
+	baseKey := dagKey(envA, baseDAG(), baseAsg())
 
 	for _, m := range fieldMutations(t, reflect.TypeOf(workflow.DAGSpec{}), "DAGSpec.") {
 		d := baseDAG()
 		m.apply(reflect.ValueOf(&d).Elem())
-		if dagKey("env", d, baseAsg()) == baseKey {
+		if dagKey(envA, d, baseAsg()) == baseKey {
 			t.Errorf("mutating %s did not change dagKey", m.name)
 		}
 	}
 	for _, m := range fieldMutations(t, reflect.TypeOf(DAGAssignment{}), "DAGAssignment.") {
 		a := baseAsg()
 		m.apply(reflect.ValueOf(&a).Elem())
-		if dagKey("env", baseDAG(), a) == baseKey {
+		if dagKey(envA, baseDAG(), a) == baseKey {
 			t.Errorf("mutating %s did not change dagKey", m.name)
 		}
 	}
-	if dagKey("env", baseDAG(), baseAsg()) != baseKey {
+	if dagKey(envA, baseDAG(), baseAsg()) != baseKey {
 		t.Fatal("dagKey is not deterministic for identical inputs")
 	}
-	if dagKey("env2", baseDAG(), baseAsg()) == baseKey {
+	if dagKey(envB, baseDAG(), baseAsg()) == baseKey {
 		t.Error("environment key does not perturb dagKey")
 	}
 }

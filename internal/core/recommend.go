@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pmemsched/internal/workflow"
 )
@@ -33,47 +34,65 @@ const (
 	lHigh = workflow.LevelHigh
 )
 
-// TableII returns the paper's Table II ("Configuration recommendations
-// for Workflows") verbatim: ten rows mapping workflow characteristics
-// to a scheduling configuration.
+// tableII is the paper's Table II ("Configuration recommendations for
+// Workflows") verbatim: ten rows mapping workflow characteristics to a
+// scheduling configuration. It is built once: Recommend matches against
+// it in place, and TableII hands out deep copies.
+var tableII = []RuleRow{
+	{1, levels(lNil), levels(lHigh), levels(lNil), levels(lHigh),
+		[]SizeClass{LargeObjects}, []ConcClass{LowConc, MediumConc, HighConc},
+		SLocW, "64MB workflows: Fig 4a,4b,4c"},
+	{2, levels(lHigh), levels(lLow), levels(lLow, lMed, lHigh), levels(lMed, lHigh),
+		[]SizeClass{LargeObjects}, []ConcClass{HighConc},
+		SLocW, "GTC + Read-Only: Fig 6c; GTC+MatrixMult: Fig 7c"},
+	{3, levels(lLow), levels(lHigh), levels(lLow), levels(lHigh),
+		[]SizeClass{SmallObjects}, []ConcClass{HighConc},
+		SLocW, "miniAMR + Read-Only: Fig 8c"},
+	{4, levels(lLow), levels(lHigh), levels(lHigh), levels(lLow),
+		[]SizeClass{SmallObjects}, []ConcClass{MediumConc, HighConc},
+		SLocW, "miniAMR + Matrixmult: Fig 9b,9c"},
+	{5, levels(lLow), levels(lHigh), levels(lNil), levels(lHigh),
+		[]SizeClass{SmallObjects}, []ConcClass{HighConc},
+		SLocR, "2K workflows: Fig 5c"},
+	{6, levels(lHigh), levels(lLow), levels(lLow), levels(lHigh),
+		[]SizeClass{LargeObjects}, []ConcClass{MediumConc},
+		SLocR, "GTC + Read-Only: Fig 6b"},
+	{7, levels(lLow), levels(lHigh), levels(lLow), levels(lHigh),
+		[]SizeClass{SmallObjects}, []ConcClass{MediumConc},
+		SLocR, "miniAMR + Read-Only: Fig 8b"},
+	{8, levels(lLow), levels(lHigh), levels(lHigh), levels(lLow),
+		[]SizeClass{SmallObjects}, []ConcClass{LowConc},
+		PLocW, "miniAMR + Matrixmult: Fig 9a"},
+	{9, levels(lNil, lLow), levels(lHigh), levels(lNil), levels(lMed, lHigh),
+		[]SizeClass{SmallObjects}, []ConcClass{LowConc, MediumConc},
+		PLocR, "2K workflows: Fig 5a, 5b; miniAMR+Read-Only: Fig 8a"},
+	{10, levels(lHigh), levels(lLow), levels(lLow, lMed, lHigh), levels(lHigh),
+		[]SizeClass{LargeObjects}, []ConcClass{LowConc, MediumConc},
+		PLocR, "GTC + Read-Only: Fig 6a; GTC+MatrixMult: Fig 7a,7b"},
+}
+
+// TableII returns a fresh deep copy of the paper's Table II: the
+// caller may modify it freely without affecting Recommend.
 func TableII() []RuleRow {
-	return []RuleRow{
-		{1, levels(lNil), levels(lHigh), levels(lNil), levels(lHigh),
-			[]SizeClass{LargeObjects}, []ConcClass{LowConc, MediumConc, HighConc},
-			SLocW, "64MB workflows: Fig 4a,4b,4c"},
-		{2, levels(lHigh), levels(lLow), levels(lLow, lMed, lHigh), levels(lMed, lHigh),
-			[]SizeClass{LargeObjects}, []ConcClass{HighConc},
-			SLocW, "GTC + Read-Only: Fig 6c; GTC+MatrixMult: Fig 7c"},
-		{3, levels(lLow), levels(lHigh), levels(lLow), levels(lHigh),
-			[]SizeClass{SmallObjects}, []ConcClass{HighConc},
-			SLocW, "miniAMR + Read-Only: Fig 8c"},
-		{4, levels(lLow), levels(lHigh), levels(lHigh), levels(lLow),
-			[]SizeClass{SmallObjects}, []ConcClass{MediumConc, HighConc},
-			SLocW, "miniAMR + Matrixmult: Fig 9b,9c"},
-		{5, levels(lLow), levels(lHigh), levels(lNil), levels(lHigh),
-			[]SizeClass{SmallObjects}, []ConcClass{HighConc},
-			SLocR, "2K workflows: Fig 5c"},
-		{6, levels(lHigh), levels(lLow), levels(lLow), levels(lHigh),
-			[]SizeClass{LargeObjects}, []ConcClass{MediumConc},
-			SLocR, "GTC + Read-Only: Fig 6b"},
-		{7, levels(lLow), levels(lHigh), levels(lLow), levels(lHigh),
-			[]SizeClass{SmallObjects}, []ConcClass{MediumConc},
-			SLocR, "miniAMR + Read-Only: Fig 8b"},
-		{8, levels(lLow), levels(lHigh), levels(lHigh), levels(lLow),
-			[]SizeClass{SmallObjects}, []ConcClass{LowConc},
-			PLocW, "miniAMR + Matrixmult: Fig 9a"},
-		{9, levels(lNil, lLow), levels(lHigh), levels(lNil), levels(lMed, lHigh),
-			[]SizeClass{SmallObjects}, []ConcClass{LowConc, MediumConc},
-			PLocR, "2K workflows: Fig 5a, 5b; miniAMR+Read-Only: Fig 8a"},
-		{10, levels(lHigh), levels(lLow), levels(lLow, lMed, lHigh), levels(lHigh),
-			[]SizeClass{LargeObjects}, []ConcClass{LowConc, MediumConc},
-			PLocR, "GTC + Read-Only: Fig 6a; GTC+MatrixMult: Fig 7a,7b"},
+	rows := make([]RuleRow, len(tableII))
+	for i, r := range tableII {
+		r.SimCompute = slices.Clone(r.SimCompute)
+		r.SimWrite = slices.Clone(r.SimWrite)
+		r.AnaCompute = slices.Clone(r.AnaCompute)
+		r.AnaRead = slices.Clone(r.AnaRead)
+		r.ObjectSize = slices.Clone(r.ObjectSize)
+		r.Conc = slices.Clone(r.Conc)
+		rows[i] = r
 	}
+	return rows
 }
 
 // Recommendation is the rule engine's output.
 type Recommendation struct {
-	Config   Config
+	Config Config
+	// Row is the matched Table II row. Its cell slices are shared with
+	// the package's rule table and must not be modified; TableII
+	// returns an editable copy.
 	Row      RuleRow
 	Distance float64 // 0 = exact Table II match
 	Features Features
@@ -89,7 +108,8 @@ type Recommendation struct {
 func Recommend(f Features) (Recommendation, error) {
 	best := Recommendation{Distance: math.Inf(1), Features: f}
 	bestSpecificity := math.Inf(1)
-	for _, row := range TableII() {
+	for i := range tableII {
+		row := &tableII[i]
 		if !containsSize(row.ObjectSize, f.ObjectSize) || !containsConc(row.Conc, f.Conc) {
 			continue
 		}
@@ -100,7 +120,7 @@ func Recommend(f Features) (Recommendation, error) {
 		spec := float64(len(row.SimCompute) * len(row.SimWrite) * len(row.AnaCompute) *
 			len(row.AnaRead) * len(row.ObjectSize) * len(row.Conc))
 		if d < best.Distance || (d == best.Distance && spec < bestSpecificity) {
-			best = Recommendation{Config: row.Config, Row: row, Distance: d, Features: f}
+			best = Recommendation{Config: row.Config, Row: *row, Distance: d, Features: f}
 			bestSpecificity = spec
 		}
 	}

@@ -206,3 +206,54 @@ func TestRecommendHonorsHardConstraints(t *testing.T) {
 		}
 	}
 }
+
+// TestTableIICopyIsolated: TableII hands out a deep copy, so a caller
+// that rewrites every cell of it leaves Recommend's answers unchanged.
+func TestTableIICopyIsolated(t *testing.T) {
+	f := feat(lLow, lHigh, lHigh, lLow, SmallObjects, LowConc)
+	before, err := Recommend(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := TableII()
+	for i := range rows {
+		r := &rows[i]
+		for _, cell := range [][]workflow.IOLevel{r.SimCompute, r.SimWrite, r.AnaCompute, r.AnaRead} {
+			for k := range cell {
+				cell[k] = lNil
+			}
+		}
+		for k := range r.ObjectSize {
+			r.ObjectSize[k] = LargeObjects
+		}
+		for k := range r.Conc {
+			r.Conc[k] = HighConc
+		}
+		r.Config = SLocW
+		r.Illustrative = "edited"
+	}
+	after, err := Recommend(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Config != before.Config || after.Row.ID != before.Row.ID || after.Distance != before.Distance ||
+		after.Row.Illustrative != before.Row.Illustrative || after.Row.Conc[0] != before.Row.Conc[0] {
+		t.Fatalf("editing TableII's copy changed Recommend: before %+v, after %+v", before, after)
+	}
+	if fresh := TableII(); fresh[7].Config != PLocW || fresh[7].SimWrite[0] != lHigh {
+		t.Fatalf("a second TableII call returned the edited rows: %+v", fresh[7])
+	}
+}
+
+// TestRecommendAllocFree: the rule match reads the package table in
+// place and allocates nothing.
+func TestRecommendAllocFree(t *testing.T) {
+	f := feat(lHigh, lLow, lMed, lHigh, LargeObjects, HighConc)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Recommend(f); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Recommend allocates %v times per call, want 0", allocs)
+	}
+}

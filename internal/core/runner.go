@@ -69,7 +69,7 @@ type cacheEntry struct {
 type runnerState struct {
 	sem   chan struct{}
 	mu    sync.Mutex
-	cache map[string]*cacheEntry
+	cache map[cacheKey]*cacheEntry
 
 	hits, misses, inflight atomic.Uint64
 }
@@ -85,7 +85,7 @@ type runnerState struct {
 // caching change only wall-clock time, never outputs.
 type Runner struct {
 	env    Env
-	envKey string
+	envKey uint64
 	state  *runnerState
 }
 
@@ -100,7 +100,7 @@ func NewRunner(env Env, workers int) *Runner {
 		envKey: env.fingerprint(),
 		state: &runnerState{
 			sem:   make(chan struct{}, workers),
-			cache: make(map[string]*cacheEntry),
+			cache: make(map[cacheKey]*cacheEntry),
 		},
 	}
 }
@@ -176,7 +176,7 @@ func fanOut(n, workers int, fn func(int)) {
 // defer, so neither the pool nor waiters on the same key can leak. The
 // panic value folds into the error, making replays of the poisoned key
 // deterministic.
-func (st *runnerState) do(key string, exec func() (any, error)) (any, error) {
+func (st *runnerState) do(key cacheKey, exec func() (any, error)) (any, error) {
 	st.mu.Lock()
 	if e, ok := st.cache[key]; ok {
 		select {

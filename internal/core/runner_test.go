@@ -155,14 +155,14 @@ func TestRunnerPanicSafe(t *testing.T) {
 	rt := NewRunner(DefaultEnv(), 1) // one worker slot: a leaked slot starves the pool
 	st := rt.state
 
-	_, panicErr := st.do("boom", func() (any, error) { panic("kaboom") })
+	_, panicErr := st.do(cacheKey{h: 1}, func() (any, error) { panic("kaboom") })
 	if panicErr == nil || !strings.Contains(panicErr.Error(), "kaboom") {
 		t.Fatalf("panicking exec returned %v, want a memoized panic error", panicErr)
 	}
 
 	// The worker slot was released: a fresh key on the 1-slot pool still
 	// executes instead of deadlocking.
-	v, err := st.do("ok", func() (any, error) { return 42, nil })
+	v, err := st.do(cacheKey{h: 2}, func() (any, error) { return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("pool starved after panic: got (%v, %v)", v, err)
 	}
@@ -172,7 +172,7 @@ func TestRunnerPanicSafe(t *testing.T) {
 	// replacement exec never runs.
 	got := make(chan error, 1)
 	go func() {
-		_, err := st.do("boom", func() (any, error) { t.Error("poisoned key re-executed"); return nil, nil })
+		_, err := st.do(cacheKey{h: 1}, func() (any, error) { t.Error("poisoned key re-executed"); return nil, nil })
 		got <- err
 	}()
 	select {

@@ -256,7 +256,8 @@ type (
 	ScheduleOutcome = core.ScheduleOutcome
 )
 
-// TableII returns the paper's recommendation table as data.
+// TableII returns the paper's recommendation table as data: a fresh
+// copy per call, so editing it cannot change Recommend.
 func TableII() []RuleRow { return core.TableII() }
 
 // Classify profiles a workflow's components standalone and buckets
