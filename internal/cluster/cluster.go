@@ -288,6 +288,13 @@ type SchedContext struct {
 	// so once one exists the pass's remaining queries fall back to the
 	// linear scan, which reads the authoritative semantics.
 	ephemeral int
+	// residentsRegular vouches that every resident profile on Nodes has
+	// finite, non-negative demands, so no node scores below a job's
+	// overload on an idle socket (the aware pick's early exit). The
+	// engine sets it until an irregular profile is committed, Place
+	// clears it when one is placed, and hand-built contexts leave it
+	// false, keeping the full scan.
+	residentsRegular bool
 }
 
 // node returns a mutable view of the node, cloning it first under
@@ -452,6 +459,9 @@ func (c *SchedContext) earliestFit(ranks int, dram float64) (float64, int) {
 // one pass.
 func (c *SchedContext) Place(job Job, node int, cfg core.Config, duration float64, prof JobProfile) Placement {
 	c.node(node).place(job.ID, job.Workflow.Ranks, c.Now+duration, jobDRAMBytes(job), prof)
+	if !prof.regularDemand() {
+		c.residentsRegular = false
+	}
 	if c.idx != nil {
 		if duration > 0 {
 			c.idx.place(node, job.Workflow.Ranks)

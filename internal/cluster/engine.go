@@ -50,7 +50,10 @@ import (
 // reads identically, and the metrics integrate the same occupancy
 // values — which the tests pin against a brute-force linear reference.
 // The reflow is exact too: it re-rates only the sockets whose
-// residency changed, which are the only ones whose rates can move.
+// residency changed, which are the only ones whose rates can move, and
+// it integrates progress lazily by replaying a log of reflow instants
+// when a job's progress is read, which reproduces the eager
+// integration's float steps bit for bit.
 
 type eventKind uint8
 
@@ -107,9 +110,10 @@ type jobState struct {
 
 	// Fluid-reflow state, used only under the interference model.
 	profile  JobProfile
-	progress float64 // standalone-seconds of work completed (incl. credit)
+	progress float64 // standalone-seconds of work completed (incl. credit), integrated up to lastAt
 	rate     float64 // standalone-seconds per wall second (0 = not yet rated)
 	lastAt   float64 // virtual time progress was last integrated to
+	mark     int     // absolute progress-log index of the first reflow instant not yet integrated
 	epoch    int     // current completion-event epoch
 
 	// Fault-model state, used only when failures are enabled.
@@ -226,6 +230,20 @@ func (d *dirtyNodes) mark(node, socket int) {
 	d.mask[node] |= 1 << uint(socket&1)
 }
 
+// progressLogCap bounds the progress log: a full log integrates the
+// residents still pinning its older half and drops what no resident
+// needs any more (see trimLog).
+const progressLogCap = 4096
+
+// progressLog records the distinct instants the engine reflowed at,
+// oldest first. A resident's progress is integrated lazily: it is read
+// only when the job is re-rated or killed, and catchUp then replays the
+// instants the job has not yet integrated.
+type progressLog struct {
+	at   []float64 // distinct reflow instants, oldest first
+	base int       // absolute index of at[0]
+}
+
 // engine is the scheduling core both drivers share: the nodes, the
 // free-capacity index, the metered occupancy, the event heap, per-job
 // state, the pending queue and the failure-avoid list.
@@ -247,6 +265,11 @@ type engine struct {
 	avoid   []int // per job: the node whose failure killed it; nil without faults
 	faults  *faultDriver
 	dirty   dirtyNodes
+	log     progressLog
+	// irregular is set once any committed profile has a negative or
+	// non-finite demand; from then on the policy pass's overload-floor
+	// early exit is off (see SchedContext.residentsRegular).
+	irregular bool
 
 	// Reusable copy-on-write snapshot scratch for the policy pass.
 	view  []*NodeView
@@ -273,6 +296,9 @@ func newEngine(opt Options) (*engine, error) {
 		retry: opt.retry(),
 	}
 	e.idx = newFreeIndex(0, e.cores)
+	if opt.Interference.Enabled {
+		e.log.at = make([]float64, 0, progressLogCap)
+	}
 	for i := 0; i < opt.Nodes; i++ {
 		e.addNode()
 	}
@@ -428,7 +454,7 @@ func (e *engine) pass(now float64) error {
 	}
 	e.idx.begin()
 	ctx := &SchedContext{Now: now, Queue: append([]Job(nil), e.pending...), Nodes: e.view, Est: e.opt.Estimator,
-		Model: e.opt.Interference, avoid: e.avoid, idx: e.idx, owned: e.owned}
+		Model: e.opt.Interference, avoid: e.avoid, idx: e.idx, owned: e.owned, residentsRegular: !e.irregular}
 	placements, err := e.opt.Policy.Schedule(ctx)
 	e.idx.rollback()
 	if err != nil {
@@ -496,6 +522,10 @@ func (e *engine) commit(now float64, pl Placement) error {
 		st.profile = prof
 		st.progress = st.credit
 		st.lastAt = now
+		st.mark = e.log.base + len(e.log.at)
+		if !prof.regularDemand() {
+			e.irregular = true
+		}
 		// rate stays 0: the pass's closing reflow rates the newcomer and
 		// posts its first completion event.
 		n.place(st.job.ID, ranks, st.end, dram, prof)
@@ -583,24 +613,23 @@ func simulate(src TraceSource, opt Options) (*Metrics, error) {
 	return m, nil
 }
 
-// reflow is the fluid step: integrate every running job's progress up
-// to now under its current rate, then re-rate the residents of every
-// socket a placement or completion marked dirty since the last reflow.
-// A rate is a pure function of its socket's resident set, so a clean
-// socket's residents already hold the rate a fresh evaluation would
-// give them, and skipping them is exact, not an approximation. Mark
-// order does not matter either: the event heap orders the re-posted
-// completions by their keys alone.
+// reflow is the fluid step: log now as a reflow instant, then re-rate
+// the residents of every socket a placement or completion marked dirty
+// since the last reflow. A rate is a pure function of its socket's
+// resident set, so a clean socket's residents already hold the rate a
+// fresh evaluation would give them, and skipping them is exact, not an
+// approximation. Mark order does not matter either: the event heap
+// orders the re-posted completions by their keys alone.
+//
+// Progress is not integrated here. Between two changes of a job's rate
+// the eager form — progress += (now-lastAt)*rate for every resident at
+// every reflow — is a fixed sequence of float steps over the reflow
+// instants, and only rerate and kill read its result. They replay the
+// logged instants first (catchUp), with the same expression in the
+// same order, so progress holds the same bits the eager loop would
+// have left, and a reflow costs only its dirty sockets.
 func (e *engine) reflow(now float64) {
-	for _, n := range e.nodes {
-		for i := range n.Running {
-			st := e.states[n.Running[i].JobID]
-			if st.rate > 0 {
-				st.progress += (now - st.lastAt) * st.rate
-			}
-			st.lastAt = now
-		}
-	}
+	e.logInstant(now)
 	d := &e.dirty
 	for _, id := range d.list {
 		n := e.nodes[id]
@@ -620,12 +649,70 @@ func (e *engine) reflow(now float64) {
 	d.list = d.list[:0]
 }
 
-// rerate applies a resident's changed progress rate: the job's
-// completion is re-estimated from its remaining work, its epoch bumps
-// and a fresh completion event is posted (the old one, now stale, is
-// skipped when it pops). The reflow compares rates first, so the common
-// unchanged case costs no call.
+// logInstant appends now to the progress log. A repeat of the newest
+// instant is skipped: every resident was integrated to it already (or
+// placed at it), so the eager step would add (now-now)*rate = 0.
+func (e *engine) logInstant(now float64) {
+	l := &e.log
+	if n := len(l.at); n > 0 && l.at[n-1] == now {
+		return
+	}
+	if len(l.at) == progressLogCap {
+		e.trimLog()
+	}
+	l.at = append(l.at, now)
+}
+
+// trimLog makes room in a full progress log. Residents whose marks
+// still pin its older half are integrated to the newest instant —
+// exactly the steps the eager loop would have spent on them — and the
+// prefix no resident needs any more is dropped, so the log never holds
+// more than progressLogCap instants.
+func (e *engine) trimLog() {
+	l := &e.log
+	half := l.base + len(l.at)/2
+	keep := l.base + len(l.at)
+	for _, n := range e.nodes {
+		for _, r := range n.Running {
+			st := e.states[r.JobID]
+			if st.mark < half {
+				e.catchUp(st)
+			}
+			keep = min(keep, st.mark)
+		}
+	}
+	l.at = l.at[:copy(l.at, l.at[keep-l.base:])]
+	l.base = keep
+}
+
+// catchUp integrates the job's progress over the logged instants past
+// its mark, in order, with the eager loop's expression.
+func (e *engine) catchUp(st *jobState) {
+	l := &e.log
+	at := l.at[st.mark-l.base:]
+	st.mark = l.base + len(l.at)
+	if len(at) == 0 {
+		return
+	}
+	if st.rate > 0 {
+		progress, lastAt, rate := st.progress, st.lastAt, st.rate
+		for _, t := range at {
+			progress += (t - lastAt) * rate
+			lastAt = t
+		}
+		st.progress = progress
+	}
+	st.lastAt = at[len(at)-1]
+}
+
+// rerate applies a resident's changed progress rate: the job's progress
+// is brought up to now under the old rate, its completion is
+// re-estimated from the remaining work, its epoch bumps and a fresh
+// completion event is posted (the old one, now stale, is skipped when
+// it pops). The reflow compares rates first, so the common unchanged
+// case costs no call.
 func (e *engine) rerate(now float64, st *jobState, r *RunningJob, rate float64) {
+	e.catchUp(st)
 	st.rate = rate
 	remaining := st.duration - st.progress
 	if remaining < 0 {
@@ -652,8 +739,10 @@ func (e *engine) rerate(now float64, st *jobState, r *RunningJob, rate float64) 
 func (e *engine) kill(st *jobState, now float64) bool {
 	achieved := st.credit + (now - st.start)
 	if e.opt.Interference.Enabled {
-		// Fluid progress is exact: integrate to the failure instant under
-		// the rate that held since the last residency change.
+		// Fluid progress is exact: replay the logged reflows, then
+		// integrate to the failure instant under the rate that held since
+		// the last residency change.
+		e.catchUp(st)
 		if st.rate > 0 {
 			st.progress += (now - st.lastAt) * st.rate
 		}

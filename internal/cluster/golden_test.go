@@ -19,7 +19,7 @@ import (
 //
 // only when an intentional output change lands (and say so in the
 // commit message).
-var updateGolden = flag.Bool("update-golden", false, "rewrite the interference-off golden files")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden files and the replay digests")
 
 func goldenCompare(t *testing.T, name string, got []byte) {
 	t.Helper()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"pmemsched/internal/core"
 	"pmemsched/internal/pmem"
@@ -218,6 +219,18 @@ func (iv Interference) overloadAll(read, write, dramRead, dramWrite float64) flo
 		}
 	}
 	return f
+}
+
+// regularDemand reports whether all four of the profile's bandwidth
+// demands are finite and non-negative. Only then does adding the job
+// to a socket never lower that socket's overload factor.
+func (p JobProfile) regularDemand() bool {
+	for _, d := range [...]float64{p.ReadBytesPerSecond, p.WriteBytesPerSecond, p.DRAMReadBytesPerSecond, p.DRAMWriteBytesPerSecond} {
+		if !(d >= 0 && d <= math.MaxFloat64) {
+			return false
+		}
+	}
+	return true
 }
 
 // rate returns the job's progress rate in standalone-seconds per wall

@@ -309,7 +309,11 @@ func fleetEngine(b *testing.B, pol Policy, est Estimator) *engine {
 
 // BenchmarkReflow times one reflow of a full 1k-node engine with one
 // socket marked dirty per reflow, as a single placement or completion
-// leaves it.
+// leaves it. No resident ever completes, so once b.N passes the
+// progress log's cap, every progressLogCap/2 reflows also pay a trim
+// that integrates all 4,000 residents over those instants: short runs
+// (the ledger's 200x) time the reflow alone, long ones the amortized
+// cost.
 func BenchmarkReflow(b *testing.B) {
 	e := fleetEngine(b, FCFS(core.SLocW), fakeEst{})
 	now := 0.0

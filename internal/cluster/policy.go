@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pmemsched/internal/core"
@@ -151,11 +152,22 @@ func (p *listPolicy) pick(ctx *SchedContext, j Job, prof JobProfile) int {
 		}
 		return ctx.FitsJob(j)
 	}
+	// The overload floor: the job's score on an idle socket. Demand only
+	// adds and overloadAll never falls as demand grows, so while every
+	// demand in play is regular no node scores below the floor, and the
+	// scan stops at the first node that reaches it — ties keep the first
+	// node visited anyway. Irregular demands keep the full scan.
+	floor := math.Inf(-1)
+	if ctx.residentsRegular && prof.regularDemand() {
+		floor = ctx.Model.overloadAll(prof.ReadBytesPerSecond, prof.WriteBytesPerSecond,
+			prof.DRAMReadBytesPerSecond, prof.DRAMWriteBytesPerSecond)
+	}
 	pickBy := func(skip int) (int, float64) {
 		best, bestScore := -1, inf()
 		ctx.eachFitJob(j, skip, func(n *NodeView) bool {
 			if score := n.OverloadAfter(ctx.Model, prof); score < bestScore {
 				best, bestScore = n.ID, score
+				return score > floor
 			}
 			return true
 		})

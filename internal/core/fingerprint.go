@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/bits"
 
 	"pmemsched/internal/workflow"
 )
@@ -17,16 +18,18 @@ import (
 //
 // The per-request keys (run, classify, dag) sit on the runner's hit
 // path, so they are built without fmt, strconv or any allocation: a
-// keyWriter streams FNV-64a over a canonical binary encoding of the
-// inputs. Every value is self-delimiting, so two different inputs
-// never encode to the same byte stream:
+// keyWriter hashes a canonical encoding of the inputs one 64-bit word
+// at a time. Every value is self-delimiting, so two different inputs
+// never encode to the same word stream:
 //   - the key opens with its family tag ('r', 'c' or 'd');
-//   - integers, and floats through math.Float64bits, are fixed-width
-//     8-byte little-endian values (so -0 and +0 stay distinct);
-//   - strings are their byte length followed by their bytes;
+//   - integers, and floats through math.Float64bits, are one word each
+//     (so -0 and +0 stay distinct);
+//   - strings are their byte length followed by their bytes, packed
+//     eight to a little-endian word, the last word zero-padded;
 //   - every slice is its element count followed by its elements.
-// Keys live only in memory; nothing persists or compares their values
-// across builds.
+// Each word costs one xxHash64 round, and sum applies xxHash64's
+// avalanche. Keys live only in memory; nothing persists or compares
+// their values across builds.
 
 // stackProbeSizes sample the stack cost model for fingerprinting. The
 // provided stacks' costs are affine in object size, so two probe points
@@ -82,52 +85,72 @@ const (
 	kindDAG      byte = 'd'
 )
 
-// FNV-64a parameters (hash/fnv's, inlined so the writer stays a plain
-// value with no interface dispatch or heap state).
+// xxHash64's primes.
 const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
+	xxPrime1 uint64 = 0x9E3779B185EBCA87
+	xxPrime2 uint64 = 0xC2B2AE3D27D4EB4F
+	xxPrime3 uint64 = 0x165667B19E3779F9
+	xxPrime4 uint64 = 0x85EBCA77C2B2AE63
+	xxPrime5 uint64 = 0x27D4EB2F165667C5
 )
 
-// keyWriter streams FNV-64a over the canonical encoding described at
-// the top of this file.
+// keyWriter hashes the canonical encoding described at the top of this
+// file. It is a plain value: no interface dispatch and no heap state.
 type keyWriter struct {
 	kind byte
 	h    uint64
 }
 
 func newKeyWriter(kind byte) keyWriter {
-	w := keyWriter{kind: kind, h: fnvOffset64}
+	w := keyWriter{kind: kind, h: xxPrime5}
 	w.u8(kind)
 	return w
 }
 
+// u8 mixes one byte, as xxHash64 mixes a trailing byte.
 func (w *keyWriter) u8(b byte) {
-	w.h ^= uint64(b)
-	w.h *= fnvPrime64
+	w.h ^= uint64(b) * xxPrime5
+	w.h = bits.RotateLeft64(w.h, 11) * xxPrime1
 }
 
-// u64 writes v as 8 little-endian bytes.
+// u64 mixes one word with one xxHash64 round.
 func (w *keyWriter) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		w.u8(byte(v))
-		v >>= 8
-	}
+	v = bits.RotateLeft64(v*xxPrime2, 31) * xxPrime1
+	w.h = bits.RotateLeft64(w.h^v, 27)*xxPrime1 + xxPrime4
 }
 
 func (w *keyWriter) i64(v int64) { w.u64(uint64(v)) }
 
 func (w *keyWriter) f64(f float64) { w.u64(math.Float64bits(f)) }
 
-// str writes the length, then the bytes.
+// str writes the length, then the bytes eight to a little-endian word;
+// the length tells a zero pad byte from a zero string byte.
 func (w *keyWriter) str(s string) {
 	w.i64(int64(len(s)))
-	for i := 0; i < len(s); i++ {
-		w.u8(s[i])
+	for ; len(s) >= 8; s = s[8:] {
+		w.u64(uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56)
+	}
+	if len(s) > 0 {
+		var v uint64
+		for i := len(s) - 1; i >= 0; i-- {
+			v = v<<8 | uint64(s[i])
+		}
+		w.u64(v)
 	}
 }
 
-func (w *keyWriter) sum() cacheKey { return cacheKey{kind: w.kind, h: w.h} }
+// sum applies xxHash64's avalanche, so every input bit reaches every
+// key bit.
+func (w *keyWriter) sum() cacheKey {
+	h := w.h
+	h ^= h >> 33
+	h *= xxPrime2
+	h ^= h >> 29
+	h *= xxPrime3
+	h ^= h >> 32
+	return cacheKey{kind: w.kind, h: h}
+}
 
 // writeSpecFingerprint encodes every Result-affecting field of the
 // spec in a fixed order (including Name, which Results carry verbatim).

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"pmemsched/internal/workflow"
@@ -81,7 +82,8 @@ func TestDAGKeysDistinct(t *testing.T) {
 
 // TestKeyBoundaries pins the cases a delimiter-free encoding would
 // merge: strings that concatenate alike, slices that differ only by a
-// zero element, and the two zeros.
+// zero element, the two zeros, and strings at and across the
+// eight-byte word boundaries of the string packing.
 func TestKeyBoundaries(t *testing.T) {
 	spec := func(sim, ana string, simObjs []workflow.ObjectSpec) workflow.Spec {
 		return workflow.Spec{
@@ -100,16 +102,30 @@ func TestKeyBoundaries(t *testing.T) {
 	negZero := spec("s", "a", nil)
 	negZero.Simulation.ComputeJitter = math.Copysign(0, -1)
 
-	cases := []struct {
+	type boundary struct {
 		name string
 		a, b workflow.Spec
-	}{
+	}
+	cases := []boundary{
 		{"names ab|c vs a|bc", spec("ab", "c", nil), spec("a", "bc", nil)},
 		{"names abc| vs |abc", spec("abc", "", nil), spec("", "abc", nil)},
 		{"objects [1x2] vs [1x2 0x0]", spec("s", "a", one), spec("s", "a", oneZero)},
 		{"objects [] vs [0x0]", spec("s", "a", nil), spec("s", "a", []workflow.ObjectSpec{{}})},
 		{"zero object in sim vs in analytics", spec("", "", oneZero), anaZero},
 		{"jitter -0 vs +0", negZero, spec("s", "a", nil)},
+		// Strings pack eight bytes to a word, the last one zero-padded:
+		// only the length prefix tells a pad byte from a NUL.
+		{`names "a" vs "a\x00"`, spec("a", "", nil), spec("a\x00", "", nil)},
+		{"names differing in the last partial word", spec("abcdefghij", "", nil), spec("abcdefghik", "", nil)},
+		{"names abcdefgh|i vs abcdefghi|", spec("abcdefgh", "i", nil), spec("abcdefghi", "", nil)},
+	}
+	// At every word boundary: a name against the same name with its last
+	// byte changed, and against the name one NUL longer.
+	for _, n := range []int{7, 8, 9, 15, 16, 17} {
+		name := strings.Repeat("w", n)
+		cases = append(cases,
+			boundary{fmt.Sprintf("%d-byte name vs last byte changed", n), spec(name, "", nil), spec(name[:n-1]+"v", "", nil)},
+			boundary{fmt.Sprintf("%d-byte name vs NUL appended", n), spec(name, "", nil), spec(name+"\x00", "", nil)})
 	}
 
 	for _, c := range cases {
