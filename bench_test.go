@@ -154,3 +154,13 @@ func BenchmarkFaultSched(b *testing.B) { benchExperiment(b, "faults") }
 // fluid reflow engine at every load factor, comparing each oblivious
 // policy against its interference-aware variant.
 func BenchmarkInterferenceSched(b *testing.B) { benchExperiment(b, "interference") }
+
+// BenchmarkDAGTuning regenerates the DAG experiment: per-stage
+// coordinate-descent tuning of the fan-out, fan-in and diamond DAGs
+// against their best uniform configuration.
+func BenchmarkDAGTuning(b *testing.B) { benchExperiment(b, "dag") }
+
+// BenchmarkTiering regenerates the multi-tier memory experiment: every
+// tier policy swept over Table I for each workload class, plus the
+// fresh-engine determinism rerun.
+func BenchmarkTiering(b *testing.B) { benchExperiment(b, "tiering") }

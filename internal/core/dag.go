@@ -410,6 +410,16 @@ func cloneAssignment(a DAGAssignment) DAGAssignment {
 // The search is deterministic (fixed candidate order, strict
 // adoption) and memoizes whole-DAG predictions by content key, so
 // revisited assignments cost nothing.
+//
+// Each candidate list is predicted as one concurrent batch on the
+// runner's worker pool before any adoption decision. That is exact,
+// not speculative: the uniform sweep's candidates are fixed up front,
+// and within stage si's loop adopting a trial changes only
+// cur.asg.Stages[si], which every trial overwrites, so the loop's
+// trial assignments are fixed when it starts. The serial adoption
+// pass then walks the results in candidate order, so the search
+// predicts the same assignments and picks the same winner as a
+// one-at-a-time walk, whatever the pool size.
 func TuneDAG(rt *Runner, d workflow.DAGSpec, opt DAGOptions) (TunedDAG, error) {
 	if err := d.Validate(); err != nil {
 		return TunedDAG{}, err
@@ -419,29 +429,51 @@ func TuneDAG(rt *Runner, d workflow.DAGSpec, opt DAGOptions) (TunedDAG, error) {
 		return TunedDAG{}, err
 	}
 	seen := make(map[cacheKey]dagEval)
-	eval := func(asg DAGAssignment) (dagEval, error) {
-		key := dagKey(rt.envKey, d, asg)
-		if ev, ok := seen[key]; ok {
-			return ev, nil
+	// evalAll predicts every assignment not seen before (each distinct
+	// key once) concurrently and returns the evaluations in input
+	// order; the first error in input order wins.
+	evalAll := func(asgs []DAGAssignment) ([]dagEval, error) {
+		keys := make([]cacheKey, len(asgs))
+		var todo []int
+		pending := make(map[cacheKey]bool)
+		for j, asg := range asgs {
+			keys[j] = dagKey(rt.envKey, d, asg)
+			if _, ok := seen[keys[j]]; !ok && !pending[keys[j]] {
+				pending[keys[j]] = true
+				todo = append(todo, j)
+			}
 		}
-		p, err := PredictDAG(rt, d, asg, opt)
-		if err != nil {
-			return dagEval{}, err
+		preds := make([]DAGPrediction, len(todo))
+		errs := make([]error, len(todo))
+		fanOut(len(todo), rt.Workers(), func(i int) {
+			preds[i], errs[i] = PredictDAG(rt, d, asgs[todo[i]], opt)
+		})
+		for i, j := range todo {
+			if errs[i] != nil {
+				return nil, errs[i]
+			}
+			seen[keys[j]] = dagEval{asg: asgs[j], pred: preds[i], feasible: dagFeasible(preds[i], opt)}
 		}
-		ev := dagEval{asg: asg, pred: p, feasible: dagFeasible(p, opt)}
-		seen[key] = ev
-		return ev, nil
+		evs := make([]dagEval, len(asgs))
+		for j, key := range keys {
+			evs[j] = seen[key]
+		}
+		return evs, nil
 	}
 
+	asgs := make([]DAGAssignment, len(cands))
+	for i, sc := range cands {
+		asgs[i] = UniformAssignment(d, sc)
+	}
+	evs, err := evalAll(asgs)
+	if err != nil {
+		return TunedDAG{}, err
+	}
 	var best dagEval
 	var bestSC StageConfig
-	for i, sc := range cands {
-		ev, err := eval(UniformAssignment(d, sc))
-		if err != nil {
-			return TunedDAG{}, err
-		}
+	for i, ev := range evs {
 		if i == 0 || dagBetter(ev, best, opt) {
-			best, bestSC = ev, sc
+			best, bestSC = ev, cands[i]
 		}
 	}
 	uniform := best
@@ -450,18 +482,23 @@ func TuneDAG(rt *Runner, d workflow.DAGSpec, opt DAGOptions) (TunedDAG, error) {
 	for pass := 0; pass < maxTunePasses; pass++ {
 		improved := false
 		for si := range d.Stages {
-			for _, sc := range cands {
+			// The trial equal to the incumbent is already in seen, so
+			// batching it costs nothing; the adoption pass skips it
+			// exactly as the one-at-a-time walk did.
+			for i, sc := range cands {
+				asgs[i] = cloneAssignment(cur.asg)
+				asgs[i].Stages[si] = sc
+			}
+			evs, err := evalAll(asgs)
+			if err != nil {
+				return TunedDAG{}, err
+			}
+			for i, sc := range cands {
 				if sc == cur.asg.Stages[si] {
 					continue
 				}
-				trial := cloneAssignment(cur.asg)
-				trial.Stages[si] = sc
-				ev, err := eval(trial)
-				if err != nil {
-					return TunedDAG{}, err
-				}
-				if dagBetter(ev, cur, opt) {
-					cur = ev
+				if dagBetter(evs[i], cur, opt) {
+					cur = evs[i]
 					improved = true
 				}
 			}

@@ -53,15 +53,28 @@ func (c TierChoice) Improvement() float64 {
 // RecommendTier sweeps every candidate tier policy over the full
 // Table I configuration space on the runner and returns the best
 // combination. The workflow's own Tier field is ignored: candidates
-// replace it.
+// replace it. The whole tier × config sweep is one RunBatch, so the
+// worker pool overlaps all of it; selection then walks the results in
+// candidate order.
 func RecommendTier(rt *Runner, wf workflow.Spec) (TierChoice, error) {
-	var choice TierChoice
-	for i, tier := range TierCandidates() {
+	tiers := TierCandidates()
+	jobs := make([]Job, 0, len(tiers)*len(Configs))
+	for _, tier := range tiers {
 		tiered := wf
 		tiered.Tier = tier
-		results, err := rt.RunAll(tiered)
-		if err != nil {
-			return TierChoice{}, err
+		for _, cfg := range Configs {
+			jobs = append(jobs, ConfigJob(tiered, cfg))
+		}
+	}
+	all, err := rt.RunBatch(jobs)
+	if err != nil {
+		return TierChoice{}, err
+	}
+	var choice TierChoice
+	for i, tier := range tiers {
+		results := all[i*len(Configs) : (i+1)*len(Configs) : (i+1)*len(Configs)]
+		for j, cfg := range Configs {
+			results[j].Config = cfg
 		}
 		best := Best(results)
 		choice.PerTier = append(choice.PerTier, TierResult{Tier: tier, Best: best, All: results})

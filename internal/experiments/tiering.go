@@ -74,7 +74,7 @@ func Tiering(rt *core.Runner) (*Report, error) {
 
 	// Determinism: the whole sweep on a fresh engine (empty cache) must
 	// reproduce every number bit for bit.
-	fresh, err := tierChoices(core.NewRunner(rt.Env(), 0), cases)
+	fresh, err := tierChoices(core.NewRunner(rt.Env(), rt.Workers()), cases)
 	if err != nil {
 		return nil, err
 	}
