@@ -26,6 +26,7 @@ import (
 	"pmemsched/internal/stack"
 	"pmemsched/internal/stack/nvstream"
 	"pmemsched/internal/units"
+	"pmemsched/internal/workloads"
 )
 
 func main() {
@@ -127,10 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		var err error
-		wf, err = workflowByName(*name, *ranks)
-		if err != nil {
-			cli.Sayln(stderr, "recommend:", err)
+		var ok bool
+		wf, ok = workloads.ByName(*name, *ranks)
+		if !ok {
+			cli.Sayf(stderr, "recommend: unknown workflow %q (see wfrun -list)\n", *name)
 			return 2
 		}
 	}
@@ -162,25 +163,6 @@ func reportTier(wf pmemsched.Workflow, rt *pmemsched.Runner, stdout, stderr io.W
 		cli.Sayln(stdout, "gain:      none (pmem-only remains best)")
 	}
 	return 0
-}
-
-// workflowByName resolves a catalog workload name.
-func workflowByName(name string, ranks int) (pmemsched.Workflow, error) {
-	switch name {
-	case "micro-64mb":
-		return pmemsched.MicroWorkflow(pmemsched.MicroObjectLarge, ranks), nil
-	case "micro-2k":
-		return pmemsched.MicroWorkflow(pmemsched.MicroObjectSmall, ranks), nil
-	case "gtc+readonly":
-		return pmemsched.GTCReadOnly(ranks), nil
-	case "gtc+matrixmult":
-		return pmemsched.GTCMatrixMult(ranks), nil
-	case "miniamr+readonly":
-		return pmemsched.MiniAMRReadOnly(ranks), nil
-	case "miniamr+matrixmult":
-		return pmemsched.MiniAMRMatrixMult(ranks), nil
-	}
-	return pmemsched.Workflow{}, fmt.Errorf("unknown workflow %q (see wfrun -list)", name)
 }
 
 // fmtRegret renders a regret fraction; NaN means the regret is

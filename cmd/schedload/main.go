@@ -47,6 +47,7 @@ import (
 	"pmemsched/internal/cli"
 	"pmemsched/internal/core"
 	"pmemsched/internal/schedd"
+	"pmemsched/internal/workloads"
 )
 
 // benchDoc is the BENCH_schedd.json schema, version
@@ -102,7 +103,6 @@ type daemonStats struct {
 	Batch struct {
 		Batches  uint64  `json:"batches"`
 		Requests uint64  `json:"requests"`
-		Merged   uint64  `json:"merged"`
 		MeanSize float64 `json:"mean_size"`
 	} `json:"batch"`
 	Admission struct {
@@ -162,10 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// variety to exercise dedup and cache lookup, small enough that the
 	// warm phase is all hits.
 	var bodies []string
-	for _, name := range []string{
-		"micro-64mb", "micro-2k", "gtc+readonly", "gtc+matrixmult",
-		"miniamr+readonly", "miniamr+matrixmult",
-	} {
+	for _, name := range workloads.Names() {
 		for _, ranks := range []int{4, 16} {
 			bodies = append(bodies, fmt.Sprintf(`{"name":%q,"ranks":%d}`, name, ranks))
 		}

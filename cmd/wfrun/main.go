@@ -13,24 +13,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 
 	"pmemsched"
 	"pmemsched/internal/units"
+	"pmemsched/internal/workloads"
 )
-
-var factories = map[string]func(int) pmemsched.Workflow{
-	"micro-64mb": func(r int) pmemsched.Workflow {
-		return pmemsched.MicroWorkflow(pmemsched.MicroObjectLarge, r)
-	},
-	"micro-2k": func(r int) pmemsched.Workflow {
-		return pmemsched.MicroWorkflow(pmemsched.MicroObjectSmall, r)
-	},
-	"gtc+readonly":       pmemsched.GTCReadOnly,
-	"gtc+matrixmult":     pmemsched.GTCMatrixMult,
-	"miniamr+readonly":   pmemsched.MiniAMRReadOnly,
-	"miniamr+matrixmult": pmemsched.MiniAMRMatrixMult,
-}
 
 func main() {
 	name := flag.String("workflow", "", "workflow name (see -list)")
@@ -42,12 +29,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		names := make([]string, 0, len(factories))
-		for n := range factories {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range workloads.Names() {
 			fmt.Println(n)
 		}
 		return
@@ -67,12 +49,12 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		mk, ok := factories[*name]
+		var ok bool
+		wf, ok = workloads.ByName(*name, *ranks)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "wfrun: unknown workflow %q (use -list or -spec)\n", *name)
 			os.Exit(2)
 		}
-		wf = mk(*ranks)
 	}
 	env := pmemsched.DefaultEnv()
 

@@ -10,7 +10,7 @@
 //	wfschedd -addr :9000 -nodes 4     # custom port, 4 nodes pre-registered
 //	wfschedd -policy easy -config S-LocW
 //	wfschedd -stack nvstream -workers 8
-//	wfschedd -max-inflight 64 -batch-window 5ms -deadline 10s
+//	wfschedd -max-inflight 64 -deadline 10s
 //
 // The daemon drains gracefully on SIGINT/SIGTERM: in-flight requests
 // finish (bounded by -drain), then the process exits 0.
@@ -50,9 +50,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cores := fs.Int("cores", 0, "cores per socket per node (0 = the testbed's)")
 	nodes := fs.Int("nodes", 0, "pre-register this many nodes at startup")
 	maxInflight := fs.Int("max-inflight", 0, "admission limit on concurrent decision requests (0 = 8x workers)")
-	batchWindow := fs.Duration("batch-window", 0, "recommend micro-batch collection window (0 = 2ms)")
-	batchMax := fs.Int("batch-max", 0, "max recommend requests per micro-batch (0 = 64)")
-	batchers := fs.Int("batchers", 0, "concurrent batch collectors (0 = min(4, GOMAXPROCS))")
 	deadline := fs.Duration("deadline", 0, "per-request decision deadline (0 = 30s)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown drain timeout")
 	quiet := fs.Bool("quiet", false, "suppress per-request logs")
@@ -93,9 +90,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Policy:         policy,
 		CoresPerSocket: *cores,
 		MaxInflight:    *maxInflight,
-		BatchWindow:    *batchWindow,
-		MaxBatch:       *batchMax,
-		Batchers:       *batchers,
 		RequestTimeout: *deadline,
 		Logger:         logger,
 	})

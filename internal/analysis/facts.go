@@ -2,11 +2,11 @@ package analysis
 
 // The fact mechanism, mirroring golang.org/x/tools/go/analysis facts
 // with the standard library only. A Fact is a typed datum an analyzer
-// attaches to a types.Object or a types.Package while analyzing the
-// package that declares it, and reads back when analyzing a dependent
-// package — the channel through which per-package analysis composes
-// into whole-program invariants (eventorder's TimeDerived travels this
-// way from a helper package to the engine that pushes its events).
+// attaches to a types.Object while analyzing the package that
+// declares it, and reads back when analyzing a dependent package — the
+// channel through which per-package analysis composes into
+// whole-program invariants (eventorder's TimeDerived travels this way
+// from a helper package to the engine that pushes its events).
 //
 // Facts live in a Session. Within one process (pmemlint standalone,
 // analysistest) the session spans every unit, units run in dependency
@@ -24,7 +24,7 @@ import (
 	"strings"
 )
 
-// A Fact is an analyzer-defined datum about an object or package. The
+// A Fact is an analyzer-defined datum about an object. The
 // concrete type must be a pointer, must be JSON-serializable, and must
 // be listed in the producing analyzer's FactTypes.
 type Fact interface {
@@ -38,7 +38,6 @@ type Fact interface {
 // itself) so that a unit's facts exist before its dependents run.
 type Session struct {
 	objFacts map[objFactKey]Fact
-	pkgFacts map[pkgFactKey]Fact
 }
 
 type objFactKey struct {
@@ -47,18 +46,9 @@ type objFactKey struct {
 	fact     reflect.Type
 }
 
-type pkgFactKey struct {
-	analyzer string
-	pkg      *types.Package
-	fact     reflect.Type
-}
-
 // NewSession returns an empty fact store.
 func NewSession() *Session {
-	return &Session{
-		objFacts: make(map[objFactKey]Fact),
-		pkgFacts: make(map[pkgFactKey]Fact),
-	}
+	return &Session{objFacts: make(map[objFactKey]Fact)}
 }
 
 // ExportObjectFact attaches fact to obj, which must belong to the
@@ -85,22 +75,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	return true
 }
 
-// ExportPackageFact attaches fact to the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.session.pkgFacts[pkgFactKey{p.Analyzer.Name, p.Pkg, p.factType(fact)}] = fact
-}
-
-// ImportPackageFact copies into fact the fact of that type previously
-// exported for pkg, reporting whether one exists.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	stored, ok := p.session.pkgFacts[pkgFactKey{p.Analyzer.Name, pkg, p.factType(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
 // factType validates that the analyzer declared the fact's type and
 // returns it. An undeclared fact type is a programming error in the
 // analyzer, caught loudly at the first export/import.
@@ -120,14 +94,14 @@ func (p *Pass) factType(fact Fact) reflect.Type {
 // serializedFact is the vetx wire form of one fact.
 type serializedFact struct {
 	Analyzer string          `json:"analyzer"`
-	Object   string          `json:"object,omitempty"` // object path; empty = package fact
+	Object   string          `json:"object,omitempty"` // object path
 	Type     string          `json:"type"`             // fact type name, e.g. "TimeDerived"
 	Data     json.RawMessage `json:"data,omitempty"`
 }
 
 // EncodeFacts serializes the session's facts about pkg that downstream
-// units can use: package facts, and object facts on objects reachable
-// by path (package-level objects and methods of package-level types).
+// units can use: object facts on objects reachable by path
+// (package-level objects and methods of package-level types).
 // Output is sorted so equal analyses produce byte-identical vetx files.
 func (s *Session) EncodeFacts(pkg *types.Package, analyzers []*Analyzer) ([]byte, error) {
 	var out []serializedFact
@@ -144,16 +118,6 @@ func (s *Session) EncodeFacts(pkg *types.Package, analyzers []*Analyzer) ([]byte
 			return nil, fmt.Errorf("analysis: encoding %s fact %T for %s: %w", key.analyzer, fact, path, err)
 		}
 		out = append(out, serializedFact{Analyzer: key.analyzer, Object: path, Type: key.fact.Elem().Name(), Data: data})
-	}
-	for key, fact := range s.pkgFacts {
-		if key.pkg != pkg {
-			continue
-		}
-		data, err := json.Marshal(fact)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: encoding %s package fact %T: %w", key.analyzer, fact, err)
-		}
-		out = append(out, serializedFact{Analyzer: key.analyzer, Type: key.fact.Elem().Name(), Data: data})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Analyzer != out[j].Analyzer {
@@ -203,10 +167,6 @@ func (s *Session) DecodeFacts(pkg *types.Package, analyzers []*Analyzer, data []
 			if err := json.Unmarshal(sf.Data, fact); err != nil {
 				return fmt.Errorf("analysis: decoding %s fact %s: %w", sf.Analyzer, sf.Type, err)
 			}
-		}
-		if sf.Object == "" {
-			s.pkgFacts[pkgFactKey{sf.Analyzer, pkg, factType}] = fact
-			continue
 		}
 		obj := lookupObjectPath(pkg, sf.Object)
 		if obj == nil {

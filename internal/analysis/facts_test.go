@@ -50,7 +50,7 @@ func hidden() {}
 // TestFactRoundTrip exercises the vetx serialization path: facts on
 // path-expressible objects (package-level exported, exported methods)
 // survive EncodeFacts/DecodeFacts; facts on unexported objects stay
-// process-local; package facts always travel.
+// process-local.
 func TestFactRoundTrip(t *testing.T) {
 	unit := checkSrc(t, factSrc)
 	scope := unit.Pkg.Scope()
@@ -69,7 +69,6 @@ func TestFactRoundTrip(t *testing.T) {
 			p.ExportObjectFact(objF, &testFact{Note: "on F"})
 			p.ExportObjectFact(objM, &testFact{Note: "on T.M"})
 			p.ExportObjectFact(objHidden, &testFact{Note: "on hidden"})
-			p.ExportPackageFact(&testFact{Note: "on pkg"})
 			return nil
 		},
 	}
@@ -83,7 +82,7 @@ func TestFactRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	wire := string(data)
-	for _, want := range []string{`"F"`, `"T.M"`, `"on pkg"`} {
+	for _, want := range []string{`"F"`, `"T.M"`} {
 		if !strings.Contains(wire, want) {
 			t.Errorf("encoded facts missing %s: %s", want, wire)
 		}
@@ -98,7 +97,7 @@ func TestFactRoundTrip(t *testing.T) {
 	if err := fresh.DecodeFacts(unit.Pkg, []*analysis.Analyzer{az}, data); err != nil {
 		t.Fatal(err)
 	}
-	var got [3]bool
+	var got [2]bool
 	check := &analysis.Analyzer{
 		Name:      "factcheck",
 		Doc:       "test analyzer",
@@ -107,7 +106,6 @@ func TestFactRoundTrip(t *testing.T) {
 			var f testFact
 			got[0] = p.ImportObjectFact(objF, &f) && f.Note == "on F"
 			got[1] = p.ImportObjectFact(objM, &f) && f.Note == "on T.M"
-			got[2] = p.ImportPackageFact(unit.Pkg, &f) && f.Note == "on pkg"
 			if p.ImportObjectFact(objHidden, &f) {
 				t.Error("fact on unexported object should not survive serialization")
 			}

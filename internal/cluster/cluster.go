@@ -493,9 +493,6 @@ type Options struct {
 	// resource: tiered jobs place without a capacity check and the
 	// engine's output is byte-identical to the pre-tier semantics.
 	DRAMBytesPerNode float64
-	// SlowdownBoundSeconds is the bounded-slowdown runtime floor tau in
-	// max(1, (wait+run)/max(run, tau)); 0 selects the conventional 10s.
-	SlowdownBoundSeconds float64
 	// Interference is the cross-job PMEM contention model. The zero
 	// value disables it and the engine's output is byte-identical to
 	// the fixed-duration semantics; see DefaultInterference.

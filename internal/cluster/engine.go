@@ -564,7 +564,7 @@ func simulate(src TraceSource, opt Options) (*Metrics, error) {
 		return nil, fmt.Errorf("cluster: empty trace")
 	}
 	fleet := opt.Fleet
-	m := newMetrics(opt.Policy.Name(), opt.Nodes, e.cores, opt.SlowdownBoundSeconds, opt.Interference.Enabled, opt.Faults.Enabled, fleet)
+	m := newMetrics(opt.Policy.Name(), opt.Nodes, e.cores, opt.Interference.Enabled, opt.Faults.Enabled, fleet)
 	if fleet.SummaryOnly {
 		e.finish = func(st *jobState) {
 			m.record(st)

@@ -104,7 +104,6 @@ type Metrics struct {
 	policy       string
 	nodes        int
 	cores        int
-	bound        float64
 	interference bool
 	faults       bool
 	summaryOnly  bool      // aggregate on the fly; keep no records or series
@@ -114,15 +113,11 @@ type Metrics struct {
 	summary      Summary
 }
 
-func newMetrics(policy string, nodes, cores int, bound float64, interference, faults bool, fleet FleetOptions) *Metrics {
-	if bound <= 0 {
-		bound = DefaultSlowdownBoundSeconds
-	}
+func newMetrics(policy string, nodes, cores int, interference, faults bool, fleet FleetOptions) *Metrics {
 	return &Metrics{
 		policy:       policy,
 		nodes:        nodes,
 		cores:        cores,
-		bound:        bound,
 		interference: interference,
 		faults:       faults,
 		summaryOnly:  fleet.SummaryOnly,
@@ -202,11 +197,7 @@ func (m *Metrics) record(st *jobState) {
 	if run < 0 {
 		run = 0
 	}
-	floor := run
-	if floor < m.bound {
-		floor = m.bound
-	}
-	bsld := turnaround / floor
+	bsld := turnaround / max(run, DefaultSlowdownBoundSeconds)
 	if bsld < 1 {
 		bsld = 1
 	}

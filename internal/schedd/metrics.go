@@ -114,7 +114,6 @@ type registry struct {
 	shed    atomic.Uint64 // admission rejections (429)
 	batches atomic.Uint64 // recommend micro-batches executed
 	batched atomic.Uint64 // recommend requests that rode a batch
-	merged  atomic.Uint64 // requests deduplicated within a batch
 }
 
 func newRegistry() *registry {
@@ -155,7 +154,6 @@ type admissionJSON struct {
 type batchJSON struct {
 	Batches  uint64  `json:"batches"`
 	Requests uint64  `json:"requests"`
-	Merged   uint64  `json:"merged"`
 	MeanSize float64 `json:"mean_size"`
 }
 
@@ -199,7 +197,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		out.Requests = []endpointJSON{}
 	}
 	batches, batched := s.met.batches.Load(), s.met.batched.Load()
-	out.Batch = batchJSON{Batches: batches, Requests: batched, Merged: s.met.merged.Load()}
+	out.Batch = batchJSON{Batches: batches, Requests: batched}
 	if batches > 0 {
 		out.Batch.MeanSize = float64(batched) / float64(batches)
 	}

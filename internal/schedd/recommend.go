@@ -3,7 +3,7 @@ package schedd
 import (
 	"bytes"
 	"net/http"
-	"strings"
+	"runtime"
 	"sync"
 	"time"
 
@@ -14,25 +14,40 @@ import (
 // The recommend micro-batcher. Handlers do not call the run engine
 // directly: they enqueue work items, and a small pool of collector
 // goroutines gathers items for a batch window (or until the batch
-// fills), deduplicates identical workflows within the batch, and
-// executes the whole batch as one Runner.RunBatch call. Under a
-// burst of identical requests this turns N simulations into one:
-// duplicates inside a batch merge before reaching the engine, and
-// duplicates across concurrent batches coalesce in the runner's
-// singleflight cache (visible as the inflight_joins counter).
+// fills) and executes the whole batch as one Runner.RunBatch call.
+// The runner is the only dedup: identical requests, in one batch or in
+// concurrent ones, meet in its singleflight cache as hits or as joins
+// of an execution in flight (the inflight_joins counter).
+
+// The batch shape: a lone request waits batchWindow for company, and a
+// batch holds at most maxBatch requests.
+const (
+	batchWindow = 2 * time.Millisecond
+	maxBatch    = 64
+)
 
 // recommendWork is one enqueued request.
 type recommendWork struct {
 	wf         workflow.Spec
-	key        string
 	includeAll bool
 	resp       chan recommendResult // buffered: delivery never blocks on an abandoned request
 }
 
+// appendJobs appends the request's share of the batch: the
+// recommended configuration's run, or all four in Table I order.
+func (w *recommendWork) appendJobs(jobs []core.Job, rec core.Recommendation) []core.Job {
+	if !w.includeAll {
+		return append(jobs, core.ConfigJob(w.wf, rec.Config))
+	}
+	for _, cfg := range core.Configs {
+		jobs = append(jobs, core.ConfigJob(w.wf, cfg))
+	}
+	return jobs
+}
+
 // recommendResult is what the batcher hands back: the recommendation,
 // the measured result under the recommended configuration, and (when
-// any request in the group asked) all four configuration results in
-// Table I order.
+// the request asked) all four configuration results in Table I order.
 type recommendResult struct {
 	rec    core.Recommendation
 	chosen core.Result
@@ -40,35 +55,38 @@ type recommendResult struct {
 	err    error
 }
 
-// specKey canonicalizes a workflow for dedup: the spec's JSON encoding
-// is a pure function of its contents, and WriteSpec to an in-memory
-// builder cannot fail on a validated spec.
-func specKey(wf workflow.Spec) string {
-	var b strings.Builder
-	if err := workflow.WriteSpec(&b, wf); err != nil {
-		// Unreachable for specs that passed resolve(); fall back to a
-		// per-name key so dedup degrades rather than panics.
-		return "name:" + wf.Name
+// fill takes the results of the jobs appendJobs built.
+func (res *recommendResult) fill(results []core.Result, includeAll bool) {
+	if !includeAll {
+		res.chosen = results[0]
+		res.chosen.Config = res.rec.Config
+		return
 	}
-	return b.String()
+	res.all = results
+	for i, cfg := range core.Configs {
+		res.all[i].Config = cfg
+		if cfg == res.rec.Config {
+			res.chosen = res.all[i]
+		}
+	}
 }
 
 type batcher struct {
-	rt     *core.Runner
-	window time.Duration
-	max    int
-	met    *registry
-	ch     chan *recommendWork
-	wg     sync.WaitGroup
+	rt  *core.Runner
+	met *registry
+	ch  chan *recommendWork
+	wg  sync.WaitGroup
 }
 
-func newBatcher(rt *core.Runner, window time.Duration, max, collectors int, met *registry) *batcher {
+// newBatcher starts min(4, GOMAXPROCS) collectors: more than one lets
+// identical requests land in concurrent batches, which is what
+// exercises the runner's in-flight coalescing under load.
+func newBatcher(rt *core.Runner, met *registry) *batcher {
+	collectors := min(4, runtime.GOMAXPROCS(0))
 	b := &batcher{
-		rt:     rt,
-		window: window,
-		max:    max,
-		met:    met,
-		ch:     make(chan *recommendWork, max*collectors),
+		rt:  rt,
+		met: met,
+		ch:  make(chan *recommendWork, maxBatch*collectors),
 	}
 	for i := 0; i < collectors; i++ {
 		b.wg.Add(1)
@@ -110,10 +128,10 @@ func (b *batcher) collect() {
 // in flight.
 func (b *batcher) gather(first *recommendWork) []*recommendWork {
 	batch := b.drain([]*recommendWork{first})
-	if len(batch) > 1 || b.window <= 0 {
+	if len(batch) > 1 {
 		return batch
 	}
-	timer := time.NewTimer(b.window)
+	timer := time.NewTimer(batchWindow)
 	defer timer.Stop()
 	select {
 	case more, ok := <-b.ch:
@@ -128,7 +146,7 @@ func (b *batcher) gather(first *recommendWork) []*recommendWork {
 // drain moves whatever is queued right now into the batch, without
 // waiting, up to the batch cap.
 func (b *batcher) drain(batch []*recommendWork) []*recommendWork {
-	for len(batch) < b.max {
+	for len(batch) < maxBatch {
 		select {
 		case more, ok := <-b.ch:
 			if !ok {
@@ -142,98 +160,39 @@ func (b *batcher) drain(batch []*recommendWork) []*recommendWork {
 	return batch
 }
 
-// batchGroup is the deduplicated unit of execution: every work item in
-// the batch that named the same workflow.
-type batchGroup struct {
-	wf         workflow.Spec
-	includeAll bool
-	members    []*recommendWork
-	rec        core.Recommendation
-	err        error
-	jobs       []core.Job // this group's slice of the batch job list
-	results    []core.Result
-}
-
-// execute runs one batch: dedup, recommend per unique workflow, one
-// RunBatch over every group's jobs, deliver.
+// execute runs one batch: a recommendation per request (classification
+// profiles the components standalone, memoized), one RunBatch over
+// every request's jobs, then delivery.
 func (b *batcher) execute(batch []*recommendWork) {
-	var order []*batchGroup
-	byKey := make(map[string]*batchGroup, len(batch))
-	for _, w := range batch {
-		g, ok := byKey[w.key]
-		if !ok {
-			g = &batchGroup{wf: w.wf}
-			byKey[w.key] = g
-			order = append(order, g)
-		}
-		g.includeAll = g.includeAll || w.includeAll
-		g.members = append(g.members, w)
-	}
-	b.met.merged.Add(uint64(len(batch) - len(order)))
-
-	// Recommendation per unique workflow. Classification profiles the
-	// components standalone; those runs are memoized, and identical
-	// workflows being recommended by a concurrent collector coalesce in
-	// the runner.
+	out := make([]recommendResult, len(batch))
+	ends := make([]int, len(batch)) // request i's jobs end at ends[i]
 	var jobs []core.Job
-	for _, g := range order {
-		g.rec, g.err = b.rt.RecommendWorkflow(g.wf)
-		if g.err != nil {
-			continue
+	for i, w := range batch {
+		out[i].rec, out[i].err = b.rt.RecommendWorkflow(w.wf)
+		if out[i].err == nil {
+			jobs = w.appendJobs(jobs, out[i].rec)
 		}
-		if g.includeAll {
-			for _, cfg := range core.Configs {
-				g.jobs = append(g.jobs, core.ConfigJob(g.wf, cfg))
-			}
-		} else {
-			g.jobs = append(g.jobs, core.ConfigJob(g.wf, g.rec.Config))
-		}
-		jobs = append(jobs, g.jobs...)
+		ends[i] = len(jobs)
 	}
-
 	results, err := b.rt.RunBatch(jobs)
-	at := 0
-	for _, g := range order {
-		if g.err != nil {
-			continue
-		}
-		if err == nil {
-			g.results = results[at : at+len(g.jobs)]
-		} else {
+	start := 0
+	for i, w := range batch {
+		res := &out[i]
+		switch {
+		case res.err != nil:
+		case err == nil:
+			res.fill(results[start:ends[i]], w.includeAll)
+		default:
 			// A failed batch reports only its first error; re-run this
-			// group's jobs individually (cached if they succeeded) so each
-			// group gets its own verdict and healthy groups still answer.
-			g.results = make([]core.Result, len(g.jobs))
-			for i, job := range g.jobs {
-				g.results[i], g.err = b.rt.RunDeployment(job.Workflow, job.Deployment)
-				if g.err != nil {
-					g.results = nil
-					break
-				}
+			// request's jobs (cached if they succeeded) so each request
+			// gets its own verdict and healthy requests still answer.
+			var rerun []core.Result
+			if rerun, res.err = b.rt.RunBatch(jobs[start:ends[i]]); res.err == nil {
+				res.fill(rerun, w.includeAll)
 			}
 		}
-		at += len(g.jobs)
-	}
-
-	for _, g := range order {
-		res := recommendResult{rec: g.rec, err: g.err}
-		if g.err == nil {
-			if g.includeAll {
-				res.all = g.results
-				for i, cfg := range core.Configs {
-					res.all[i].Config = cfg
-					if cfg == g.rec.Config {
-						res.chosen = res.all[i]
-					}
-				}
-			} else {
-				res.chosen = g.results[0]
-				res.chosen.Config = g.rec.Config
-			}
-		}
-		for _, w := range g.members {
-			w.resp <- res
-		}
+		start = ends[i]
+		w.resp <- *res
 	}
 }
 
@@ -254,7 +213,6 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 	work := &recommendWork{
 		wf:         wf,
-		key:        specKey(wf),
 		includeAll: req.IncludeRuntimes,
 		resp:       make(chan recommendResult, 1),
 	}

@@ -18,11 +18,11 @@
 //   - Admission: a bounded gate sheds load with 429 + Retry-After once
 //     the configured number of decision requests are in flight, so a
 //     burst degrades into fast rejections instead of collapse.
-//   - Micro-batching: compatible recommend requests are collected for
-//     a few milliseconds and executed as one Runner.RunBatch call;
-//     identical requests within a batch are deduplicated before they
-//     reach the engine, and identical requests across concurrent
-//     batches coalesce in the runner's singleflight cache.
+//   - Micro-batching: recommend requests are collected for a couple of
+//     milliseconds and executed as one Runner.RunBatch call. The
+//     runner's singleflight cache is the only dedup: identical
+//     requests, in one batch or in concurrent ones, meet there as
+//     cache hits or in-flight joins.
 //   - Deadlines: every decision request carries a timeout; a request
 //     that exceeds it gets 504 while the underlying computation
 //     completes and warms the cache for the retry.
@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -61,16 +60,6 @@ type Config struct {
 	// pool (decision requests spend most of their time waiting on the
 	// pool, so some queueing depth keeps the workers fed).
 	MaxInflight int
-	// BatchWindow is how long a recommend batch collector waits for
-	// more requests after the first; 0 selects 2ms.
-	BatchWindow time.Duration
-	// MaxBatch caps requests per micro-batch; 0 selects 64.
-	MaxBatch int
-	// Batchers is the number of concurrent batch collectors; 0 selects
-	// min(4, GOMAXPROCS). More than one lets identical requests land
-	// in concurrent batches, which is what exercises the runner's
-	// singleflight coalescing under load.
-	Batchers int
 	// RequestTimeout is the per-request decision deadline; 0 selects
 	// 30s.
 	RequestTimeout time.Duration
@@ -87,15 +76,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 8 * c.Runner.Workers()
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	if c.Batchers <= 0 {
-		c.Batchers = min(4, runtime.GOMAXPROCS(0))
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 30 * time.Second
@@ -152,7 +132,7 @@ func New(cfg Config) (*Server, error) {
 		jobKeys:   make(map[string]int),
 		log:       cfg.Logger,
 	}
-	s.batch = newBatcher(cfg.Runner, cfg.BatchWindow, cfg.MaxBatch, cfg.Batchers, s.met)
+	s.batch = newBatcher(cfg.Runner, s.met)
 	s.routes()
 	return s, nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"pmemsched/internal/core"
 	"pmemsched/internal/stack"
+	"pmemsched/internal/stack/faultinject"
 	"pmemsched/internal/stack/nova"
 	"pmemsched/internal/workflow"
 	"pmemsched/internal/workloads"
@@ -263,16 +264,12 @@ func slowEnv(d time.Duration) core.Env {
 // TestConcurrentRecommendCoalesce hammers one workflow from many
 // clients at once (run under -race). All responses must be 200 with
 // byte-identical bodies, and the shared runner must report in-flight
-// joins: concurrent batches asked for the same computation and joined
-// one execution instead of duplicating it.
+// joins: identical requests, in one batch's RunBatch over four workers
+// or in concurrent batches, joined one execution instead of
+// duplicating it.
 func TestConcurrentRecommendCoalesce(t *testing.T) {
 	srv, ts := newTestServer(t, func(cfg *Config) {
-		cfg.Runner = core.NewRunner(slowEnv(2*time.Millisecond), 0)
-		// One request per batch across several collectors: coalescing
-		// must happen in the runner, not by intra-batch dedup.
-		cfg.MaxBatch = 1
-		cfg.Batchers = 4
-		cfg.BatchWindow = time.Millisecond
+		cfg.Runner = core.NewRunner(slowEnv(2*time.Millisecond), 4)
 		// Admit every client at once; shedding is TestAdmissionShed's
 		// subject, not this test's.
 		cfg.MaxInflight = 64
@@ -309,37 +306,97 @@ func TestConcurrentRecommendCoalesce(t *testing.T) {
 	}
 }
 
-// TestIntraBatchDedup sends identical requests into one wide batch
-// window and checks the batcher merged them before the engine.
-func TestIntraBatchDedup(t *testing.T) {
+// TestRecommendBatchEquivalence fires a concurrent mix of identical
+// and distinct requests (catalog and inline forms, with and without
+// include_runtimes) so they share batches, and checks every body is
+// byte-identical to the same request answered alone.
+func TestRecommendBatchEquivalence(t *testing.T) {
+	var bodies []string
+	for _, name := range []string{"micro-2k", "gtc+readonly"} {
+		wf, _ := workloads.ByName(name, 4)
+		var spec strings.Builder
+		if err := workflow.WriteSpec(&spec, wf); err != nil {
+			t.Fatalf("WriteSpec: %v", err)
+		}
+		for _, ref := range []string{fmt.Sprintf(`"name":%q,"ranks":4`, name), `"workflow":` + spec.String()} {
+			bodies = append(bodies, "{"+ref+"}", "{"+ref+`,"include_runtimes":true}`)
+		}
+	}
+
+	_, alone := newTestServer(t, nil)
+	want := make([][]byte, len(bodies))
+	for i, body := range bodies {
+		status, got := call(t, alone, "POST", "/v1/recommend", body)
+		if status != http.StatusOK {
+			t.Fatalf("alone %s: status %d, body %s", body, status, got)
+		}
+		want[i] = got
+	}
+
 	srv, ts := newTestServer(t, func(cfg *Config) {
-		cfg.Batchers = 1
-		cfg.MaxBatch = 64
-		cfg.BatchWindow = 50 * time.Millisecond
+		cfg.Runner = core.NewRunner(slowEnv(time.Millisecond), 0)
+		cfg.MaxInflight = 64
 	})
-	const clients = 8
+	const copies = 3
 	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			status, body := call(t, ts, "POST", "/v1/recommend", `{"name":"micro-64mb","ranks":6}`)
-			if status != http.StatusOK {
-				t.Errorf("status %d, body %s", status, body)
-			}
-		}()
+	for c := 0; c < copies; c++ {
+		for i, body := range bodies {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				status, got := call(t, ts, "POST", "/v1/recommend", body)
+				if status != http.StatusOK {
+					t.Errorf("concurrent %s: status %d, body %s", body, status, got)
+					return
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("concurrent %s differs from the lone answer:\n%s\nvs\n%s", body, got, want[i])
+				}
+			}()
+		}
 	}
 	wg.Wait()
-	if merged := srv.met.merged.Load(); merged == 0 {
-		t.Logf("batch counters: batches=%d requests=%d merged=%d",
-			srv.met.batches.Load(), srv.met.batched.Load(), merged)
-		// Merging needs at least two requests in one batch; with a 50ms
-		// window and simultaneous clients this should essentially always
-		// happen, but scheduling can strand each request in its own
-		// batch. Only fail if batching itself never ran.
-		if srv.met.batches.Load() == 0 {
-			t.Errorf("no batches executed at all")
+	if batches, batched := srv.met.batches.Load(), srv.met.batched.Load(); batched <= batches {
+		t.Errorf("%d requests in %d batches: no batch held two requests", batched, batches)
+	}
+}
+
+// TestRecommendBatchFailure runs the daemon over a stack that drops
+// every append. Classification profiles without a channel and
+// succeeds, so each batch's RunBatch fails and every request re-runs
+// its own jobs: each must get a 500 carrying the integrity error of
+// its own workflow, not the batch's first, and every admission slot
+// must come back.
+func TestRecommendBatchFailure(t *testing.T) {
+	env := core.Env{Tag: "drop-appends", NewStack: func() stack.Instance {
+		return faultinject.New(nova.Default(), faultinject.DropAppends, 1, 1)
+	}}
+	srv, ts := newTestServer(t, func(cfg *Config) {
+		cfg.Runner = core.NewRunner(env, 0)
+		cfg.MaxInflight = 64
+	})
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		for _, name := range []string{"micro-2k", "gtc+readonly", "miniamr+readonly"} {
+			wf, _ := workloads.ByName(name, 4)
+			body := fmt.Sprintf(`{"name":%q,"ranks":4,"include_runtimes":%t}`, name, c%2 == 0)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				status, got := call(t, ts, "POST", "/v1/recommend", body)
+				if status != http.StatusInternalServerError || !strings.Contains(string(got), wf.Name+" under") ||
+					!strings.Contains(string(got), "channel integrity") {
+					t.Errorf("%s: status %d, body %s; want 500 with %s's integrity error", body, status, got, wf.Name)
+				}
+			}()
 		}
+	}
+	wg.Wait()
+	for i := 0; srv.gate.inflight() != 0; i++ {
+		if i > 1000 {
+			t.Fatalf("%d admission slots still held after every reply", srv.gate.inflight())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -348,11 +405,10 @@ func TestIntraBatchDedup(t *testing.T) {
 func TestAdmissionShed(t *testing.T) {
 	srv, ts := newTestServer(t, func(cfg *Config) {
 		cfg.MaxInflight = 1
-		// A lone request waits out the whole batch window, pinning the
-		// slot long enough for the second request to observe saturation.
-		cfg.BatchWindow = 500 * time.Millisecond
-		cfg.MaxBatch = 64
-		cfg.Batchers = 1
+		// Every stack build sleeps, so the cold request's simulations
+		// pin the slot long enough for the second request to observe
+		// saturation.
+		cfg.Runner = core.NewRunner(slowEnv(100*time.Millisecond), 0)
 	})
 
 	done := make(chan struct{})

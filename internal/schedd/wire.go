@@ -83,21 +83,11 @@ func (ref workflowRef) resolve() (workflow.Spec, error) {
 	if ranks < 0 {
 		return workflow.Spec{}, fmt.Errorf("schedd: ranks must be positive, got %d", ranks)
 	}
-	switch ref.Name {
-	case "micro-64mb":
-		return ref.applyTier(workloads.MicroWorkflow(workloads.MicroObjectLarge, ranks))
-	case "micro-2k":
-		return ref.applyTier(workloads.MicroWorkflow(workloads.MicroObjectSmall, ranks))
-	case "gtc+readonly":
-		return ref.applyTier(workloads.GTCReadOnly(ranks))
-	case "gtc+matrixmult":
-		return ref.applyTier(workloads.GTCMatrixMult(ranks))
-	case "miniamr+readonly":
-		return ref.applyTier(workloads.MiniAMRReadOnly(ranks))
-	case "miniamr+matrixmult":
-		return ref.applyTier(workloads.MiniAMRMatrixMult(ranks))
+	wf, ok := workloads.ByName(ref.Name, ranks)
+	if !ok {
+		return workflow.Spec{}, fmt.Errorf("schedd: unknown workload %q (want one of %s)", ref.Name, strings.Join(workloads.Names(), ", "))
 	}
-	return workflow.Spec{}, fmt.Errorf("schedd: unknown workload %q (want micro-64mb, micro-2k, gtc+readonly, gtc+matrixmult, miniamr+readonly or miniamr+matrixmult)", ref.Name)
+	return ref.applyTier(wf)
 }
 
 // applyTier overlays the request's tier spec, if any, onto the

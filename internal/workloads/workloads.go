@@ -200,23 +200,45 @@ func MiniAMRMatrixMult(ranks int) workflow.Spec {
 // three concurrency levels.
 func Suite() []workflow.Spec {
 	var suite []workflow.Spec
-	for _, r := range ConcurrencyLevels {
-		suite = append(suite, MicroWorkflow(MicroObjectLarge, r))
-	}
-	for _, r := range ConcurrencyLevels {
-		suite = append(suite, MicroWorkflow(MicroObjectSmall, r))
-	}
-	for _, r := range ConcurrencyLevels {
-		suite = append(suite, GTCReadOnly(r))
-	}
-	for _, r := range ConcurrencyLevels {
-		suite = append(suite, GTCMatrixMult(r))
-	}
-	for _, r := range ConcurrencyLevels {
-		suite = append(suite, MiniAMRReadOnly(r))
-	}
-	for _, r := range ConcurrencyLevels {
-		suite = append(suite, MiniAMRMatrixMult(r))
+	for _, c := range catalog {
+		for _, r := range ConcurrencyLevels {
+			suite = append(suite, c.build(r))
+		}
 	}
 	return suite
+}
+
+// catalog names the six workflow families in the paper's figure order,
+// which is Suite's. The CLIs and the daemon resolve a workload name
+// through it.
+var catalog = []struct {
+	name  string
+	build func(ranks int) workflow.Spec
+}{
+	{"micro-64mb", func(r int) workflow.Spec { return MicroWorkflow(MicroObjectLarge, r) }},
+	{"micro-2k", func(r int) workflow.Spec { return MicroWorkflow(MicroObjectSmall, r) }},
+	{"gtc+readonly", GTCReadOnly},
+	{"gtc+matrixmult", GTCMatrixMult},
+	{"miniamr+readonly", MiniAMRReadOnly},
+	{"miniamr+matrixmult", MiniAMRMatrixMult},
+}
+
+// Names returns the catalog workload names, in Suite order.
+func Names() []string {
+	names := make([]string, len(catalog))
+	for i, c := range catalog {
+		names[i] = c.name
+	}
+	return names
+}
+
+// ByName builds the catalog workload name at the given rank count. It
+// reports false for a name outside Names.
+func ByName(name string, ranks int) (workflow.Spec, bool) {
+	for _, c := range catalog {
+		if c.name == name {
+			return c.build(ranks), true
+		}
+	}
+	return workflow.Spec{}, false
 }

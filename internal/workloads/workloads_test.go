@@ -1,10 +1,12 @@
 package workloads
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"pmemsched/internal/units"
+	"pmemsched/internal/workflow"
 )
 
 func TestSuiteSize(t *testing.T) {
@@ -147,6 +149,38 @@ func TestWorkflowNames(t *testing.T) {
 	}
 	if !strings.Contains(MicroWorkflow(MicroObjectSmall, 8).Name, "2 KiB") {
 		t.Errorf("micro small name %q", MicroWorkflow(MicroObjectSmall, 8).Name)
+	}
+}
+
+// TestCatalog pins each catalog name to its constructor, in Suite
+// order, and rejects a name outside the catalog.
+func TestCatalog(t *testing.T) {
+	want := []struct {
+		name string
+		wf   workflow.Spec
+	}{
+		{"micro-64mb", MicroWorkflow(MicroObjectLarge, 4)},
+		{"micro-2k", MicroWorkflow(MicroObjectSmall, 4)},
+		{"gtc+readonly", GTCReadOnly(4)},
+		{"gtc+matrixmult", GTCMatrixMult(4)},
+		{"miniamr+readonly", MiniAMRReadOnly(4)},
+		{"miniamr+matrixmult", MiniAMRMatrixMult(4)},
+	}
+	names := Names()
+	if len(names) != len(want) {
+		t.Fatalf("Names() = %v, want %d names", names, len(want))
+	}
+	for i, w := range want {
+		if names[i] != w.name {
+			t.Errorf("Names()[%d] = %q, want %q", i, names[i], w.name)
+		}
+		got, ok := ByName(w.name, 4)
+		if !ok || !reflect.DeepEqual(got, w.wf) {
+			t.Errorf("ByName(%q, 4) = %v, %v; want %v", w.name, got, ok, w.wf)
+		}
+	}
+	if _, ok := ByName("hpl", 4); ok {
+		t.Error("ByName accepted a name outside the catalog")
 	}
 }
 
