@@ -2,7 +2,7 @@
 // into the per-layer benchmark ledger, BENCH_layers.json, and gates a
 // fresh run against a committed ledger:
 //
-//	go test -run '^$' -bench '<rows>' -benchtime 200x -benchmem -count 3 <pkgs> \
+//	go test -p 1 -run '^$' -bench '<rows>' -benchtime 200x -benchmem -count 3 <pkgs> \
 //	  | go run -buildvcs=true ./cmd/perfledger -baseline BENCH_layers.json -out fresh.json
 //
 // Each row is the median of its -count repeats. With -baseline the
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,6 +60,10 @@ type row struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  float64 `json:"bytes_per_op"`
 	AllocsPerOp float64 `json:"allocs_per_op"`
+	// Extra holds the medians of the metrics a benchmark reports beside
+	// the standard three (b.ReportMetric), keyed by unit. It is recorded,
+	// never gated.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 func main() {
@@ -92,14 +97,15 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 }
 
 // parse reads the pkg and cpu headers and the result lines,
-// "BenchmarkName[-GOMAXPROCS] N v ns/op v B/op v allocs/op"; the rest
-// of the stamp describes this process, which runs beside go test.
+// "BenchmarkName[-GOMAXPROCS] N v ns/op [v unit]... v B/op v allocs/op",
+// where the optional pairs are a benchmark's own metrics; the rest of
+// the stamp describes this process, which runs beside go test.
 func parse(r io.Reader) (ledger, error) {
 	led := ledger{Schema: schema, Env: cli.Stamp()}
 	led.Env.GOMAXPROCS = 1 // go test omits the -N suffix at GOMAXPROCS=1
 	var pkg string
 	var names []string
-	pkgs, cols := map[string]string{}, map[string]*[3][]float64{} // per row: ns/op, B/op, allocs/op
+	pkgs, rows := map[string]string{}, map[string]*repeats{}
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		line := sc.Text()
@@ -112,7 +118,7 @@ func parse(r io.Reader) (ledger, error) {
 		if !strings.HasPrefix(line, "Benchmark") || len(f) < 3 {
 			continue // a header, a log line, or a benchmark name printed before its logs
 		}
-		if len(f) < 8 || f[3] != "ns/op" || f[5] != "B/op" || f[7] != "allocs/op" {
+		if len(f)%2 != 0 || !slices.Contains(f, "ns/op") || !slices.Contains(f, "B/op") || !slices.Contains(f, "allocs/op") {
 			return led, fmt.Errorf("%q: want ns/op, B/op and allocs/op (go test -benchmem)", line)
 		}
 		name := f[0][len("Benchmark"):]
@@ -121,15 +127,21 @@ func parse(r io.Reader) (ledger, error) {
 				name, led.Env.GOMAXPROCS = name[:i], procs
 			}
 		}
-		if cols[name] == nil {
-			names, pkgs[name], cols[name] = append(names, name), pkg, new([3][]float64)
+		rep := rows[name]
+		if rep == nil {
+			rep = &repeats{vals: map[string][]float64{}}
+			names, pkgs[name], rows[name] = append(names, name), pkg, rep
 		}
-		for i, c := range cols[name] {
-			v, err := strconv.ParseFloat(f[2+2*i], 64)
+		for i := 2; i < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
 				return led, fmt.Errorf("%q: %w", line, err)
 			}
-			cols[name][i] = append(c, v)
+			unit := f[i+1]
+			if rep.vals[unit] == nil {
+				rep.units = append(rep.units, unit)
+			}
+			rep.vals[unit] = append(rep.vals[unit], v)
 		}
 	}
 	if len(names) == 0 && sc.Err() == nil {
@@ -141,11 +153,28 @@ func parse(r io.Reader) (ledger, error) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		c := cols[name]
-		led.Rows = append(led.Rows, row{Name: name, Pkg: pkgs[name], Runs: len(c[0]),
-			NsPerOp: median(c[0]), BytesPerOp: median(c[1]), AllocsPerOp: median(c[2])})
+		rep := rows[name]
+		r := row{Name: name, Pkg: pkgs[name], Runs: len(rep.vals["ns/op"]),
+			NsPerOp: median(rep.vals["ns/op"]), BytesPerOp: median(rep.vals["B/op"]), AllocsPerOp: median(rep.vals["allocs/op"])}
+		for _, unit := range rep.units {
+			if unit == "ns/op" || unit == "B/op" || unit == "allocs/op" {
+				continue
+			}
+			if r.Extra == nil {
+				r.Extra = map[string]float64{}
+			}
+			r.Extra[unit] = median(rep.vals[unit])
+		}
+		led.Rows = append(led.Rows, r)
 	}
 	return led, sc.Err()
+}
+
+// repeats collects one row's result lines: every unit it reports, in
+// first-seen order, with one value per repeat.
+type repeats struct {
+	units []string
+	vals  map[string][]float64
 }
 
 func write(led ledger, path string, stdout io.Writer) error {

@@ -91,6 +91,34 @@ func TestParse(t *testing.T) {
 	}
 }
 
+// TestParseExtraMetrics: a benchmark's own metrics (b.ReportMetric),
+// which go test prints between ns/op and the -benchmem columns, are
+// kept as medians under their units beside the three standard columns.
+func TestParseExtraMetrics(t *testing.T) {
+	text := "pkg: pmemsched/internal/cluster\n" +
+		"BenchmarkFleetPass-2 \t 200\t 3000 ns/op\t 1500 ns/event\t 900 B/op\t 40 allocs/op\n" +
+		"BenchmarkFleetPass-2 \t 200\t 1000 ns/op\t 500 ns/event\t 900 B/op\t 40 allocs/op\n" +
+		"BenchmarkFleetPass-2 \t 200\t 2000 ns/op\t 1000 ns/event\t 900 B/op\t 40 allocs/op\n"
+	led, err := parse(strings.NewReader(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []row{{Name: "FleetPass", Pkg: "pmemsched/internal/cluster", Runs: 3, NsPerOp: 2000, BytesPerOp: 900, AllocsPerOp: 40,
+		Extra: map[string]float64{"ns/event": 1000}}}
+	if fmt.Sprint(led.Rows) != fmt.Sprint(want) {
+		t.Errorf("rows\n%+v\nwant\n%+v", led.Rows, want)
+	}
+	for _, bad := range []string{
+		"BenchmarkFleetPass-2 \t 200\t 3000 ns/op\t 1500 ns/event\t 900 B/op\n",
+		"BenchmarkFleetPass-2 \t 200\t 3000 ns/op\t 1500\t 900 B/op\t 40 allocs/op\n",
+		"BenchmarkFleetPass-2 \t 200\t 3000 ns/op\t x ns/event\t 900 B/op\t 40 allocs/op\n",
+	} {
+		if _, err := parse(strings.NewReader(bad)); err == nil {
+			t.Errorf("parse(%q) accepted a malformed result line", bad)
+		}
+	}
+}
+
 // TestGate is the gate's canary: each planted regression must exit 1,
 // and each change the gate deliberately allows must exit 0.
 func TestGate(t *testing.T) {

@@ -28,6 +28,25 @@ func writeComponentFingerprint(w io.Writer, c wf.Component) {
 	fmt.Fprint(w, "]|")
 }
 
+// writePtrSpecFingerprint reads the spec through a pointer, as the run
+// engine's hit-path key writers do, and hands its component on by
+// address: selecting the field counts as covering it.
+func writePtrSpecFingerprint(w io.Writer, s *wf.Spec) {
+	fmt.Fprintf(w, "wf=%q ranks=%d|", s.Name, s.Ranks)
+	writePtrComponentFingerprint(w, &s.Component)
+}
+
+// writePtrComponentFingerprint: the pointer is unwrapped like a value
+// parameter, down through the range variable, so the dropped object
+// count is still caught.
+func writePtrComponentFingerprint(w io.Writer, c *wf.Component) { // want `writePtrComponentFingerprint does not fold exported field wf\.Object\.Count into the cache key`
+	fmt.Fprintf(w, "c=%q comp=%v objs=[", c.Name, c.Compute)
+	for _, o := range c.Objects {
+		fmt.Fprintf(w, "%d,", o.Bytes)
+	}
+	fmt.Fprint(w, "]|")
+}
+
 // Deployment has gained a new exported field (Added) that the key
 // functions below were not updated for — the exact drift the analyzer
 // exists to catch.

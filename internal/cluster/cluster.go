@@ -67,7 +67,7 @@ func (e runnerEstimator) Profile(wf workflow.Spec, cfg core.Config) (JobProfile,
 	if err != nil {
 		return JobProfile{}, err
 	}
-	return ProfileFromResult(wf, cfg, res), nil
+	return profileFromResult(&wf, cfg, &res), nil
 }
 
 // RunningJob is one placed job occupying cores on a node.
@@ -86,7 +86,10 @@ type RunningJob struct {
 
 // jobDRAMBytes returns the node DRAM the job holds resident under its
 // workflow's tier policy (zero for pmem-only jobs).
-func jobDRAMBytes(j Job) float64 {
+func jobDRAMBytes(j *Job) float64 {
+	if !j.Workflow.Tier.Enabled() {
+		return 0 // what TierDRAMBytes reports, without copying the spec into its receiver
+	}
 	return float64(j.Workflow.TierDRAMBytes())
 }
 
@@ -256,7 +259,9 @@ type Placement struct {
 // nodes (policies record tentative placements on it so capacity
 // accounting stays correct across multiple placements in one pass),
 // the cost model, and the interference model in force (zero when
-// disabled).
+// disabled). The engine reuses the context, its Queue, its node clones
+// and the built-in policies' placement buffer from pass to pass, so
+// nothing a pass hands out may be kept past its Schedule call.
 type SchedContext struct {
 	Now   float64
 	Queue []Job
@@ -281,6 +286,17 @@ type SchedContext struct {
 	// mutate nodes only through Place. When nil (hand-built contexts),
 	// Nodes is private to the caller and is mutated directly.
 	owned []bool
+	// cloned lists the node IDs cloned this pass, in clone order: the
+	// engine restores exactly these view entries and owned marks after
+	// the pass, so a pass costs what it touched, not the fleet size.
+	cloned []int
+	// clones holds one clone per node, reused across passes: a clone's
+	// resident buffer keeps its capacity, so cloning allocates only
+	// when a node holds more residents than it ever has.
+	clones []NodeView
+	// placed is the engine's reusable placement buffer; the built-in
+	// policies append to it and hand the grown buffer back.
+	placed []Placement
 	// ephemeral counts zero-duration placements made this pass. The
 	// index tracks structural occupancy (residents hold cores until
 	// their end time), but a zero-duration resident ends at Now and so
@@ -299,15 +315,18 @@ type SchedContext struct {
 
 // node returns a mutable view of the node, cloning it first under
 // copy-on-write so the engine's authoritative state stays untouched.
+// The clone lives in the node's reusable slot and is recorded in
+// cloned for the engine's restore.
 func (c *SchedContext) node(id int) *NodeView {
 	if c.owned == nil || c.owned[id] {
 		return c.Nodes[id]
 	}
-	n := c.Nodes[id]
-	cl := &NodeView{ID: n.ID, Cores: n.Cores, DRAMBytes: n.DRAMBytes, Running: append([]RunningJob(nil), n.Running...),
+	n, cl := c.Nodes[id], &c.clones[id]
+	*cl = NodeView{ID: n.ID, Cores: n.Cores, DRAMBytes: n.DRAMBytes, Running: append(cl.Running[:0], n.Running...),
 		Down: n.Down, UpSeconds: n.UpSeconds}
 	c.Nodes[id] = cl
 	c.owned[id] = true
+	c.cloned = append(c.cloned, id)
 	return cl
 }
 
@@ -384,12 +403,12 @@ func (c *SchedContext) eachFit(ranks, skip int, yield func(n *NodeView) bool) {
 // cores, so DRAM-demanding jobs always take the linear scan — exact,
 // just not O(1).
 func (c *SchedContext) FitsJob(j Job) int {
-	return c.fitsExceptJob(j, -1)
+	return c.fitsExceptJob(&j, -1)
 }
 
 // fitsExceptJob is FitsJob skipping one node ID; skip < 0 skips
 // nothing.
-func (c *SchedContext) fitsExceptJob(j Job, skip int) int {
+func (c *SchedContext) fitsExceptJob(j *Job, skip int) int {
 	dram := jobDRAMBytes(j)
 	if dram <= 0 {
 		return c.fitsExcept(j.Workflow.Ranks, skip)
@@ -404,7 +423,7 @@ func (c *SchedContext) fitsExceptJob(j Job, skip int) int {
 
 // eachFitJob is eachFit for a concrete job, adding the DRAM demand
 // check for tiered jobs.
-func (c *SchedContext) eachFitJob(j Job, skip int, yield func(n *NodeView) bool) {
+func (c *SchedContext) eachFitJob(j *Job, skip int, yield func(n *NodeView) bool) {
 	dram := jobDRAMBytes(j)
 	if dram <= 0 {
 		c.eachFit(j.Workflow.Ranks, skip, yield)
@@ -423,7 +442,7 @@ func (c *SchedContext) eachFitJob(j Job, skip int, yield func(n *NodeView) bool)
 // EarliestFitJob is EarliestFit for a concrete job, honoring its DRAM
 // demand alongside its core count.
 func (c *SchedContext) EarliestFitJob(j Job) (float64, int) {
-	return c.earliestFit(j.Workflow.Ranks, jobDRAMBytes(j))
+	return c.earliestFit(j.Workflow.Ranks, jobDRAMBytes(&j))
 }
 
 // EarliestFit returns the earliest (time, node) at which ranks cores
@@ -458,6 +477,11 @@ func (c *SchedContext) earliestFit(ranks int, dram float64) (float64, int) {
 // snapshot's demand accounting correct across multiple placements in
 // one pass.
 func (c *SchedContext) Place(job Job, node int, cfg core.Config, duration float64, prof JobProfile) Placement {
+	return c.place(&job, node, cfg, duration, prof)
+}
+
+// place is Place reading the job through a pointer.
+func (c *SchedContext) place(job *Job, node int, cfg core.Config, duration float64, prof JobProfile) Placement {
 	c.node(node).place(job.ID, job.Workflow.Ranks, c.Now+duration, jobDRAMBytes(job), prof)
 	if !prof.regularDemand() {
 		c.residentsRegular = false

@@ -52,7 +52,7 @@ func (e runnerEstimator) RecommendDAG(d workflow.DAGSpec) (core.Config, error) {
 }
 
 // dagEstimator asserts the estimator can price DAG jobs.
-func dagEstimator(est Estimator, j Job) (DAGEstimator, error) {
+func dagEstimator(est Estimator, j *Job) (DAGEstimator, error) {
 	de, ok := est.(DAGEstimator)
 	if !ok {
 		return nil, fmt.Errorf("cluster: job %d (%s) is a DAG but estimator %T cannot price DAGs", j.ID, j.Workflow.Name, est)
@@ -61,8 +61,10 @@ func dagEstimator(est Estimator, j Job) (DAGEstimator, error) {
 }
 
 // estimateJob prices one job by kind: pair jobs through the Estimator,
-// DAG jobs through the DAGEstimator extension.
-func estimateJob(est Estimator, j Job, cfg core.Config) (float64, error) {
+// DAG jobs through the DAGEstimator extension. Like recommendJob and
+// profileJob it reads the job through a pointer: the policy pass asks
+// for every queued job it considers, and a Job is some 200 bytes.
+func estimateJob(est Estimator, j *Job, cfg core.Config) (float64, error) {
 	if j.DAG == nil {
 		return est.Estimate(j.Workflow, cfg)
 	}
@@ -74,7 +76,7 @@ func estimateJob(est Estimator, j Job, cfg core.Config) (float64, error) {
 }
 
 // recommendJob picks one job's configuration by kind.
-func recommendJob(est Estimator, j Job) (core.Config, error) {
+func recommendJob(est Estimator, j *Job) (core.Config, error) {
 	if j.DAG == nil {
 		return est.Recommend(j.Workflow)
 	}
@@ -90,7 +92,7 @@ func recommendJob(est Estimator, j Job) (core.Config, error) {
 // the makespan, so a single steady-state demand pair would overstate
 // them — the interference model treats them as unprofiled background
 // load.
-func profileJob(est Estimator, j Job, cfg core.Config) (JobProfile, error) {
+func profileJob(est Estimator, j *Job, cfg core.Config) (JobProfile, error) {
 	if j.DAG == nil {
 		return est.Profile(j.Workflow, cfg)
 	}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -49,6 +48,13 @@ import (
 // index returns the node the linear scan would have, the COW view
 // reads identically, and the metrics integrate the same occupancy
 // values — which the tests pin against a brute-force linear reference.
+// A pass costs what it touches, not the fleet size: the view aliases
+// the nodes between passes, a pass clones a node into a reusable slot
+// on its first placement there, and afterwards restores only the
+// entries it cloned. The queue copy, the context and the placement
+// buffer are reused across passes too, and the event heap is typed
+// (container/heap's sift order without boxing each event), so a
+// steady-state pass allocates only where a buffer must grow.
 // The reflow is exact too: it re-rates only the sockets whose
 // residency changed, which are the only ones whose rates can move, and
 // it integrates progress lazily by replaying a log of reflow instants
@@ -71,26 +77,66 @@ type event struct {
 	epoch int // completion epoch; stale when != the job's current epoch
 }
 
+// before orders events: time, then kind, then job/node ID, then epoch.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.kind != b.kind {
+		return a.kind < b.kind
+	}
+	if a.job != b.job {
+		return a.job < b.job
+	}
+	return a.epoch < b.epoch
+}
+
+// eventHeap is a binary min-heap of events under before. add and next
+// are container/heap's Push and Pop, comparison for comparison and swap
+// for swap, written for the concrete type: the pop order is the one
+// container/heap gives, and no event is boxed in an interface.
 type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(a, b int) bool {
-	if h[a].at != h[b].at {
-		return h[a].at < h[b].at
+// add is heap.Push followed by heap.up.
+func (h *eventHeap) add(e event) {
+	*h = append(*h, e)
+	s := *h
+	for j := len(s) - 1; ; {
+		i := (j - 1) / 2 // parent
+		if i == j || !s[j].before(&s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
 	}
-	if h[a].kind != h[b].kind {
-		return h[a].kind < h[b].kind
-	}
-	if h[a].job != h[b].job {
-		return h[a].job < h[b].job
-	}
-	return h[a].epoch < h[b].epoch
 }
-func (h eventHeap) Swap(a, b int) { h[a], h[b] = h[b], h[a] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h *eventHeap) next() event  { return heap.Pop(h).(event) }
-func (h *eventHeap) add(e event)  { heap.Push(h, e) }
+
+// next is heap.Pop: swap the root to the end, heap.down over the rest,
+// and take the end off.
+func (h *eventHeap) next() event {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && s[j2].before(&s[j1]) {
+			j = j2 // right child
+		}
+		if !s[j].before(&s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	e := s[n]
+	*h = s[:n]
+	return e
+}
+
 func (h *eventHeap) peek() (event, bool) {
 	if len(*h) == 0 {
 		return event{}, false
@@ -172,7 +218,7 @@ func checkFits(j Job, cores int, dram float64) error {
 	if j.Workflow.Ranks > cores {
 		return fmt.Errorf("needs %d ranks but nodes have %d cores per socket", j.Workflow.Ranks, cores)
 	}
-	if demand := jobDRAMBytes(j); dram > 0 && demand > dram {
+	if demand := jobDRAMBytes(&j); dram > 0 && demand > dram {
 		return fmt.Errorf("holds %g DRAM bytes resident but nodes have %g", demand, dram)
 	}
 	return nil
@@ -271,9 +317,15 @@ type engine struct {
 	// early exit is off (see SchedContext.residentsRegular).
 	irregular bool
 
-	// Reusable copy-on-write snapshot scratch for the policy pass.
+	// Reusable policy-pass scratch. view aliases nodes entry for entry
+	// between passes (a pass clones into it copy-on-write and restores
+	// what it cloned); queue is the pass's copy of pending; ctx is the
+	// context every pass hands the policy, with its clone slots and
+	// placement buffer.
 	view  []*NodeView
 	owned []bool
+	queue []Job
+	ctx   SchedContext
 
 	src      TraceSource // stages trace arrivals; nil once exhausted (always, for the store)
 	finished int         // completed or permanently failed jobs
@@ -315,10 +367,12 @@ func newEngine(opt Options) (*engine, error) {
 // addNode registers one empty, schedulable node and returns its ID.
 func (e *engine) addNode() int {
 	id := e.idx.add()
-	e.nodes = append(e.nodes, &NodeView{ID: id, Cores: e.cores, DRAMBytes: e.opt.DRAMBytesPerNode})
+	n := &NodeView{ID: id, Cores: e.cores, DRAMBytes: e.opt.DRAMBytesPerNode}
+	e.nodes = append(e.nodes, n)
 	e.occ = append(e.occ, 0)
-	e.view = append(e.view, nil)
+	e.view = append(e.view, n)
 	e.owned = append(e.owned, false)
+	e.ctx.clones = append(e.ctx.clones, NodeView{})
 	e.dirty.mask = append(e.dirty.mask, 0)
 	return id
 }
@@ -444,19 +498,24 @@ func (e *engine) step(now float64, force bool) (bool, error) {
 // returned placements. The policy sees a copy-on-write view of the
 // nodes and the index under a journal the engine rolls back before
 // re-applying the committed placements to the authoritative state.
+// The view is restored entry by entry from the context's cloned list,
+// so it aliases the authoritative nodes again for the next pass.
 func (e *engine) pass(now float64) error {
 	if len(e.nodes) == 0 {
 		return nil // a store may see jobs before its fleet registers
 	}
-	copy(e.view, e.nodes)
-	for i := range e.owned {
-		e.owned[i] = false
-	}
+	e.queue = append(e.queue[:0], e.pending...)
+	ctx := &e.ctx
+	*ctx = SchedContext{Now: now, Queue: e.queue, Nodes: e.view, Est: e.opt.Estimator,
+		Model: e.opt.Interference, avoid: e.avoid, idx: e.idx, owned: e.owned, residentsRegular: !e.irregular,
+		cloned: ctx.cloned[:0], clones: ctx.clones, placed: ctx.placed}
 	e.idx.begin()
-	ctx := &SchedContext{Now: now, Queue: append([]Job(nil), e.pending...), Nodes: e.view, Est: e.opt.Estimator,
-		Model: e.opt.Interference, avoid: e.avoid, idx: e.idx, owned: e.owned, residentsRegular: !e.irregular}
 	placements, err := e.opt.Policy.Schedule(ctx)
 	e.idx.rollback()
+	for _, id := range ctx.cloned {
+		e.view[id] = e.nodes[id]
+		e.owned[id] = false
+	}
 	if err != nil {
 		return err
 	}
@@ -491,12 +550,12 @@ func (e *engine) commit(now float64, pl Placement) error {
 		return fmt.Errorf("cluster: policy %s overcommitted node %d with job %d (%d ranks, %d cores free)",
 			pol.Name(), pl.Node, pl.JobID, ranks, n.FreeAt(now))
 	}
-	dram := jobDRAMBytes(st.job)
+	dram := jobDRAMBytes(&st.job)
 	if dram > 0 && n.DRAMBytes > 0 && n.DRAMFreeAt(now) < dram {
 		return fmt.Errorf("cluster: policy %s overcommitted node %d DRAM with job %d (%g bytes demanded, %g free)",
 			pol.Name(), pl.Node, pl.JobID, dram, n.DRAMFreeAt(now))
 	}
-	dur, err := estimateJob(e.opt.Estimator, st.job, pl.Config)
+	dur, err := estimateJob(e.opt.Estimator, &st.job, pl.Config)
 	if err != nil {
 		return fmt.Errorf("cluster: executing job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
 	}
@@ -515,7 +574,7 @@ func (e *engine) commit(now float64, pl Placement) error {
 		e.avoid[pl.JobID] = -1
 	}
 	if e.opt.Interference.Enabled {
-		prof, err := profileJob(e.opt.Estimator, st.job, pl.Config)
+		prof, err := profileJob(e.opt.Estimator, &st.job, pl.Config)
 		if err != nil {
 			return fmt.Errorf("cluster: profiling job %d (%s): %w", pl.JobID, st.job.Workflow.Name, err)
 		}

@@ -64,6 +64,12 @@ type JobProfile struct {
 // phase breakdown gives the I/O duty cycle, and the configuration's
 // deployment names the device socket.
 func ProfileFromResult(wf workflow.Spec, cfg core.Config, res core.Result) JobProfile {
+	return profileFromResult(&wf, cfg, &res)
+}
+
+// profileFromResult is ProfileFromResult reading the spec and the
+// result through pointers, for the estimator's per-ask path.
+func profileFromResult(wf *workflow.Spec, cfg core.Config, res *core.Result) JobProfile {
 	p := JobProfile{DeviceSocket: int(cfg.Deployment().DeviceSocket)}
 	if res.TotalSeconds <= 0 {
 		return p
@@ -85,9 +91,9 @@ func ProfileFromResult(wf workflow.Spec, cfg core.Config, res core.Result) JobPr
 		p.DRAMWriteBytesPerSecond = demand
 		p.DRAMReadBytesPerSecond = demand
 	case workflow.TierDRAMFirstSpill, workflow.TierHotPromote:
-		frac := tierResidentFraction(wf)
+		frac := tierResidentFraction(*wf)
 		if wf.Tier.Policy == workflow.TierHotPromote {
-			frac *= hotFraction(wf)
+			frac *= hotFraction(*wf)
 			p.MigratedBytes = float64(wf.TierMigratedBytes())
 		}
 		p.DRAMReadBytesPerSecond = frac * demand

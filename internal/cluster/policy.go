@@ -108,7 +108,7 @@ type listPolicy struct {
 func (p *listPolicy) Name() string { return p.name }
 
 // config picks the job's configuration under this policy.
-func (p *listPolicy) config(ctx *SchedContext, j Job) (core.Config, error) {
+func (p *listPolicy) config(ctx *SchedContext, j *Job) (core.Config, error) {
 	if p.fixed != nil {
 		return *p.fixed, nil
 	}
@@ -118,7 +118,7 @@ func (p *listPolicy) config(ctx *SchedContext, j Job) (core.Config, error) {
 // profile fetches the job's PMEM-demand profile when the interference
 // model is on (so the snapshot's demand accounting stays correct across
 // a pass) and returns the zero profile otherwise.
-func (p *listPolicy) profile(ctx *SchedContext, j Job, cfg core.Config) (JobProfile, error) {
+func (p *listPolicy) profile(ctx *SchedContext, j *Job, cfg core.Config) (JobProfile, error) {
 	if !ctx.Model.Enabled {
 		return JobProfile{}, nil
 	}
@@ -138,9 +138,9 @@ func (p *listPolicy) profile(ctx *SchedContext, j Job, cfg core.Config) (JobProf
 // no capacity at all; this soft constraint extends the avoidance
 // through the repair, when the job may still be waiting out its
 // backoff) unless no other node fits. Returns -1 when no node fits.
-func (p *listPolicy) pick(ctx *SchedContext, j Job, prof JobProfile) int {
+func (p *listPolicy) pick(ctx *SchedContext, j *Job, prof JobProfile) int {
 	if !p.aware {
-		return ctx.FitsJob(j)
+		return ctx.fitsExceptJob(j, -1)
 	}
 	if !ctx.Model.Enabled {
 		// No interference model: still avoid the failed node, preferring
@@ -150,7 +150,7 @@ func (p *listPolicy) pick(ctx *SchedContext, j Job, prof JobProfile) int {
 				return id
 			}
 		}
-		return ctx.FitsJob(j)
+		return ctx.fitsExceptJob(j, -1)
 	}
 	// The overload floor: the job's score on an idle socket. Demand only
 	// adds and overloadAll never falls as demand grows, so while every
@@ -182,11 +182,13 @@ func (p *listPolicy) pick(ctx *SchedContext, j Job, prof JobProfile) int {
 	return best
 }
 
+// Schedule walks the queue by index, reading each job in place, and
+// appends to the context's placement buffer, which it hands back grown
+// for the engine's next pass.
 func (p *listPolicy) Schedule(ctx *SchedContext) ([]Placement, error) {
-	var placed []Placement
-	queue := append([]Job(nil), ctx.Queue...)
-	for len(queue) > 0 {
-		head := queue[0]
+	placed := ctx.placed[:0]
+	for i := range ctx.Queue {
+		head := &ctx.Queue[i]
 		cfg, err := p.config(ctx, head)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: configuring job %d (%s): %w", p.name, head.ID, head.Workflow.Name, err)
@@ -200,21 +202,18 @@ func (p *listPolicy) Schedule(ctx *SchedContext) ([]Placement, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cluster: %s: estimating job %d (%s): %w", p.name, head.ID, head.Workflow.Name, err)
 			}
-			placed = append(placed, ctx.Place(head, node, cfg, dur, prof))
-			queue = queue[1:]
+			placed = append(placed, ctx.place(head, node, cfg, dur, prof))
 			continue
 		}
 		// Head blocked: without backfilling nothing behind it may start.
-		if !p.backfill {
-			break
+		if p.backfill {
+			if placed, err = p.backfillBehind(ctx, head, ctx.Queue[i+1:], placed); err != nil {
+				return nil, err
+			}
 		}
-		more, err := p.backfillBehind(ctx, head, queue[1:])
-		if err != nil {
-			return nil, err
-		}
-		placed = append(placed, more...)
 		break
 	}
+	ctx.placed = placed
 	return placed, nil
 }
 
@@ -222,15 +221,16 @@ func (p *listPolicy) Schedule(ctx *SchedContext) ([]Placement, error) {
 // time its cores free up and starts later jobs that provably cannot
 // delay it: a job may backfill if it fits now and either finishes
 // before the reservation, runs on a different node, or leaves the
-// reserved node with enough cores at the reservation time.
-func (p *listPolicy) backfillBehind(ctx *SchedContext, head Job, rest []Job) ([]Placement, error) {
-	shadow, reserved := ctx.EarliestFitJob(head)
+// reserved node with enough cores at the reservation time. It appends
+// the backfilled placements to placed.
+func (p *listPolicy) backfillBehind(ctx *SchedContext, head *Job, rest []Job, placed []Placement) ([]Placement, error) {
+	shadow, reserved := ctx.earliestFit(head.Workflow.Ranks, jobDRAMBytes(head))
 	if reserved < 0 {
 		return nil, fmt.Errorf("cluster: %s: job %d (%s) needs %d ranks but no node can ever fit it",
 			p.name, head.ID, head.Workflow.Name, head.Workflow.Ranks)
 	}
-	var placed []Placement
-	for _, j := range rest {
+	for i := range rest {
+		j := &rest[i]
 		cfg, err := p.config(ctx, j)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: configuring job %d (%s): %w", p.name, j.ID, j.Workflow.Name, err)
@@ -252,7 +252,7 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head Job, rest []Job) ([]
 		if end > shadow && node == reserved && !reservationIntact(ctx.Nodes[reserved], shadow, head, j) {
 			continue
 		}
-		placed = append(placed, ctx.Place(j, node, cfg, dur, prof))
+		placed = append(placed, ctx.place(j, node, cfg, dur, prof))
 	}
 	return placed, nil
 }
@@ -261,7 +261,7 @@ func (p *listPolicy) backfillBehind(ctx *SchedContext, head Job, rest []Job) ([]
 // shadow time survives the backfill job j still running then on the
 // reserved node: enough cores, and — when the head holds DRAM resident
 // on a DRAM-modeled cluster — enough DRAM too.
-func reservationIntact(n *NodeView, shadow float64, head, j Job) bool {
+func reservationIntact(n *NodeView, shadow float64, head, j *Job) bool {
 	if n.FreeAt(shadow)-j.Workflow.Ranks < head.Workflow.Ranks {
 		return false
 	}

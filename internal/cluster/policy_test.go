@@ -16,7 +16,7 @@ import (
 func fullScanPick(ctx *SchedContext, j Job, prof JobProfile) int {
 	pickBy := func(skip int) int {
 		best, bestScore := -1, inf()
-		ctx.eachFitJob(j, skip, func(n *NodeView) bool {
+		ctx.eachFitJob(&j, skip, func(n *NodeView) bool {
 			if score := n.OverloadAfter(ctx.Model, prof); score < bestScore {
 				best, bestScore = n.ID, score
 			}
@@ -134,7 +134,7 @@ func TestPickEarlyExitMatchesFullScan(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		ctx, j, prof := randomPickContext(rng, i%2 == 0)
 		want := fullScanPick(ctx, j, prof)
-		if got := pol.pick(ctx, j, prof); got != want {
+		if got := pol.pick(ctx, &j, prof); got != want {
 			t.Fatalf("case %d: early-exit pick chose node %d, full scan %d (profile %+v)", i, got, want, prof)
 		}
 		// Count the cases where the exit skips fitting nodes: the winner
@@ -143,7 +143,7 @@ func TestPickEarlyExitMatchesFullScan(t *testing.T) {
 			floor := ctx.Model.overloadAll(prof.ReadBytesPerSecond, prof.WriteBytesPerSecond,
 				prof.DRAMReadBytesPerSecond, prof.DRAMWriteBytesPerSecond)
 			later := false
-			ctx.eachFitJob(j, -1, func(n *NodeView) bool {
+			ctx.eachFitJob(&j, -1, func(n *NodeView) bool {
 				later = n.ID > want
 				return !later
 			})
@@ -187,7 +187,7 @@ func TestPickIrregularDemandFallsBack(t *testing.T) {
 	}
 	pol := PMEMAwareInterferenceAware().(*listPolicy)
 	j := Job{ID: 6, Workflow: workloads.GTCReadOnly(2)}
-	if got := pol.pick(ctx, j, job); got != 1 {
+	if got := pol.pick(ctx, &j, job); got != 1 {
 		t.Errorf("pick chose node %d, want node 1 (the full scan's below-floor winner)", got)
 	}
 

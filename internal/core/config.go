@@ -75,17 +75,18 @@ var (
 // Configs lists all four configurations in the paper's Table I order.
 var Configs = []Config{SLocW, SLocR, PLocW, PLocR}
 
-// Label returns the paper's configuration label, e.g. "S-LocW".
+// Label returns the paper's configuration label, e.g. "S-LocW". It is
+// one of four constant strings, so labelling allocates nothing.
 func (c Config) Label() string {
-	mode := "S"
-	if c.Mode == Parallel {
-		mode = "P"
+	switch {
+	case c.Mode == Parallel && c.Placement == LocR:
+		return "P-LocR"
+	case c.Mode == Parallel:
+		return "P-LocW"
+	case c.Placement == LocR:
+		return "S-LocR"
 	}
-	place := "LocW"
-	if c.Placement == LocR {
-		place = "LocR"
-	}
-	return mode + "-" + place
+	return "S-LocW"
 }
 
 func (c Config) String() string { return c.Label() }

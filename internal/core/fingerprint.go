@@ -154,12 +154,15 @@ func (w *keyWriter) sum() cacheKey {
 
 // writeSpecFingerprint encodes every Result-affecting field of the
 // spec in a fixed order (including Name, which Results carry verbatim).
-func writeSpecFingerprint(w *keyWriter, s workflow.Spec) {
+// The spec, like the component below, is read through a pointer: the
+// run and classify keys sit on the runner's hit path, and a by-value
+// spec costs a copy per call.
+func writeSpecFingerprint(w *keyWriter, s *workflow.Spec) {
 	w.str(s.Name)
 	w.i64(int64(s.Ranks))
 	w.i64(int64(s.Iterations))
-	writeComponentFingerprint(w, s.Simulation)
-	writeComponentFingerprint(w, s.Analytics)
+	writeComponentFingerprint(w, &s.Simulation)
+	writeComponentFingerprint(w, &s.Analytics)
 	writeTierFingerprint(w, s.Tier)
 }
 
@@ -175,7 +178,7 @@ func writeTierFingerprint(w *keyWriter, t workflow.TierSpec) {
 
 // writeComponentFingerprint encodes one component. Its position in the
 // enclosing key (simulation before analytics) names its role.
-func writeComponentFingerprint(w *keyWriter, c workflow.ComponentSpec) {
+func writeComponentFingerprint(w *keyWriter, c *workflow.ComponentSpec) {
 	w.str(c.Name)
 	w.f64(c.ComputePerIteration)
 	w.f64(c.ComputePerObject)
@@ -196,7 +199,7 @@ func writeDAGSpecFingerprint(w *keyWriter, d workflow.DAGSpec) {
 	for _, s := range d.Stages {
 		w.str(s.Name)
 		w.i64(int64(s.Ranks))
-		writeComponentFingerprint(w, s.Component)
+		writeComponentFingerprint(w, &s.Component)
 		writeTierFingerprint(w, s.Tier)
 	}
 	w.i64(int64(len(d.Edges)))
@@ -234,7 +237,7 @@ func dagKey(env uint64, d workflow.DAGSpec, asg DAGAssignment) cacheKey {
 }
 
 // runKey builds the cache key of one execution.
-func runKey(env uint64, wf workflow.Spec, dep Deployment) cacheKey {
+func runKey(env uint64, wf *workflow.Spec, dep Deployment) cacheKey {
 	w := newKeyWriter(kindRun)
 	w.u64(env)
 	writeSpecFingerprint(&w, wf)
@@ -246,7 +249,7 @@ func runKey(env uint64, wf workflow.Spec, dep Deployment) cacheKey {
 }
 
 // classifyKey builds the cache key of one profiling+classification.
-func classifyKey(env uint64, wf workflow.Spec) cacheKey {
+func classifyKey(env uint64, wf *workflow.Spec) cacheKey {
 	w := newKeyWriter(kindClassify)
 	w.u64(env)
 	writeSpecFingerprint(&w, wf)

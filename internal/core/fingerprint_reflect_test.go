@@ -105,7 +105,7 @@ func baseComponent() workflow.ComponentSpec {
 
 func componentKey(c workflow.ComponentSpec) cacheKey {
 	w := newKeyWriter(kindRun)
-	writeComponentFingerprint(&w, c)
+	writeComponentFingerprint(&w, &c)
 	return w.sum()
 }
 
@@ -145,26 +145,27 @@ func TestRunKeyCoversSpecAndDeployment(t *testing.T) {
 	baseDep := func() Deployment {
 		return Deployment{Mode: Serial, SimSocket: 0, AnaSocket: 1, DeviceSocket: 1}
 	}
-	baseKey := runKey(envA, baseSpec(), baseDep())
+	base := baseSpec()
+	baseKey := runKey(envA, &base, baseDep())
 
 	for _, m := range fieldMutations(t, reflect.TypeOf(workflow.Spec{}), "Spec.") {
 		s := baseSpec()
 		m.apply(reflect.ValueOf(&s).Elem())
-		if runKey(envA, s, baseDep()) == baseKey {
+		if runKey(envA, &s, baseDep()) == baseKey {
 			t.Errorf("mutating %s did not change runKey", m.name)
 		}
 	}
 	for _, m := range fieldMutations(t, reflect.TypeOf(Deployment{}), "Deployment.") {
 		d := baseDep()
 		m.apply(reflect.ValueOf(&d).Elem())
-		if runKey(envA, baseSpec(), d) == baseKey {
+		if runKey(envA, &base, d) == baseKey {
 			t.Errorf("mutating %s did not change runKey", m.name)
 		}
 	}
-	if runKey(envA, baseSpec(), baseDep()) != baseKey {
+	if runKey(envA, &base, baseDep()) != baseKey {
 		t.Fatal("runKey is not deterministic for identical inputs")
 	}
-	if runKey(envB, baseSpec(), baseDep()) == baseKey {
+	if runKey(envB, &base, baseDep()) == baseKey {
 		t.Error("environment key does not perturb runKey")
 	}
 }

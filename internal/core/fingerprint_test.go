@@ -35,9 +35,9 @@ func TestKeysDistinctAcrossSuite(t *testing.T) {
 		for _, p := range tierPolicies {
 			wf := base
 			wf.Tier = workflow.TierSpec{Policy: p}
-			keys.add(t, classifyKey(envA, wf), fmt.Sprintf("classify %s/tier%d", wf.Name, p))
+			keys.add(t, classifyKey(envA, &wf), fmt.Sprintf("classify %s/tier%d", wf.Name, p))
 			for _, cfg := range Configs {
-				keys.add(t, runKey(envA, wf, cfg.Deployment()), fmt.Sprintf("run %s/tier%d/%s", wf.Name, p, cfg.Label()))
+				keys.add(t, runKey(envA, &wf, cfg.Deployment()), fmt.Sprintf("run %s/tier%d/%s", wf.Name, p, cfg.Label()))
 			}
 		}
 	}
@@ -129,10 +129,10 @@ func TestKeyBoundaries(t *testing.T) {
 	}
 
 	for _, c := range cases {
-		if runKey(envA, c.a, dep) == runKey(envA, c.b, dep) {
+		if runKey(envA, &c.a, dep) == runKey(envA, &c.b, dep) {
 			t.Errorf("%s: run keys collide", c.name)
 		}
-		if classifyKey(envA, c.a) == classifyKey(envA, c.b) {
+		if classifyKey(envA, &c.a) == classifyKey(envA, &c.b) {
 			t.Errorf("%s: classify keys collide", c.name)
 		}
 	}

@@ -106,8 +106,15 @@ type Recommendation struct {
 // the more specific row wins (fewer allowed combinations), then the
 // lower-numbered one.
 func Recommend(f Features) (Recommendation, error) {
-	best := Recommendation{Distance: math.Inf(1), Features: f}
-	bestSpecificity := math.Inf(1)
+	row, dist := matchRow(&f)
+	return recommendation(f, row, dist)
+}
+
+// matchRow runs Recommend's match: it returns the winning row's index
+// into tableII (-1 when no row passes the hard constraints) and its
+// level distance (+Inf when there is no match).
+func matchRow(f *Features) (int, float64) {
+	best, bestDist, bestSpecificity := -1, math.Inf(1), math.Inf(1)
 	for i := range tableII {
 		row := &tableII[i]
 		if !containsSize(row.ObjectSize, f.ObjectSize) || !containsConc(row.Conc, f.Conc) {
@@ -119,15 +126,23 @@ func Recommend(f Features) (Recommendation, error) {
 			levelDist(row.AnaRead, f.AnaRead)
 		spec := float64(len(row.SimCompute) * len(row.SimWrite) * len(row.AnaCompute) *
 			len(row.AnaRead) * len(row.ObjectSize) * len(row.Conc))
-		if d < best.Distance || (d == best.Distance && spec < bestSpecificity) {
-			best = Recommendation{Config: row.Config, Row: *row, Distance: d, Features: f}
-			bestSpecificity = spec
+		if d < bestDist || (d == bestDist && spec < bestSpecificity) {
+			best, bestDist, bestSpecificity = i, d, spec
 		}
 	}
-	if math.IsInf(best.Distance, 1) {
-		return best, fmt.Errorf("core: no Table II row covers %s", f)
+	return best, bestDist
+}
+
+// recommendation builds Recommend's answer from a matchRow result.
+func recommendation(f Features, row int, dist float64) (Recommendation, error) {
+	rec := Recommendation{Distance: dist, Features: f}
+	if row >= 0 {
+		rec.Config, rec.Row = tableII[row].Config, tableII[row]
 	}
-	return best, nil
+	if math.IsInf(dist, 1) {
+		return rec, fmt.Errorf("core: no Table II row covers %s", f)
+	}
+	return rec, nil
 }
 
 // RecommendWorkflow classifies the workflow (standalone profiling runs

@@ -209,9 +209,12 @@ func (st *runnerState) do(key cacheKey, exec func() (any, error)) (any, error) {
 }
 
 // RunDeployment executes (or recalls) the workflow under an explicit
-// deployment.
+// deployment. The cache holds the Result itself, not a *Result: a hit
+// then copies it twice on its way out of Run instead of once, but the
+// pointer-holding miss path timed about 5% slower on the simulation-
+// heavy experiments (fig8, tab2), with the kernel's code unchanged.
 func (r *Runner) RunDeployment(wf workflow.Spec, dep Deployment) (Result, error) {
-	v, err := r.state.do(runKey(r.envKey, wf, dep), func() (any, error) {
+	v, err := r.state.do(runKey(r.envKey, &wf, dep), func() (any, error) {
 		res, _, err := RunDeployment(wf, dep, r.env, false)
 		return res, err
 	})
@@ -267,24 +270,55 @@ func (r *Runner) RunAll(wf workflow.Spec) ([]Result, error) {
 	return results, nil
 }
 
+// classified is one memoized classification: the workflow's features
+// and their Table II match (matchRow's row and distance). The match is
+// a pure function of the features, so it is made once, on the miss,
+// and a RecommendWorkflow hit builds its answer from it instead of
+// rerunning the match.
+type classified struct {
+	features Features
+	row      int
+	dist     float64
+}
+
+// newClassified builds the classify entry for the features.
+func newClassified(f Features) *classified {
+	row, dist := matchRow(&f)
+	return &classified{features: f, row: row, dist: dist}
+}
+
+// classify answers one classify request with the memoized entry.
+func (r *Runner) classify(wf *workflow.Spec) (*classified, error) {
+	v, err := r.state.do(classifyKey(r.envKey, wf), func() (any, error) {
+		f, err := Classify(*wf, r.env)
+		if err != nil {
+			return nil, err
+		}
+		return newClassified(f), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*classified), nil
+}
+
 // Classify profiles the workflow's components standalone (memoized by
 // spec and environment) and buckets them into Table II's vocabulary.
 func (r *Runner) Classify(wf workflow.Spec) (Features, error) {
-	v, err := r.state.do(classifyKey(r.envKey, wf), func() (any, error) {
-		return Classify(wf, r.env)
-	})
+	c, err := r.classify(&wf)
 	if err != nil {
 		return Features{}, err
 	}
-	return v.(Features), nil
+	return c.features, nil
 }
 
 // RecommendWorkflow classifies the workflow (memoized profiling runs)
-// and applies the Table II rules.
+// and applies the Table II rules, whose match is memoized with the
+// classification.
 func (r *Runner) RecommendWorkflow(wf workflow.Spec) (Recommendation, error) {
-	f, err := r.Classify(wf)
+	c, err := r.classify(&wf)
 	if err != nil {
 		return Recommendation{}, err
 	}
-	return Recommend(f)
+	return recommendation(c.features, c.row, c.dist)
 }

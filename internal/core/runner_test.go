@@ -318,6 +318,55 @@ func TestClassifyMemoized(t *testing.T) {
 	}
 }
 
+// TestRecommendWorkflowMemoMatchesRecommend: the classify entry stores
+// its Table II match, and RecommendWorkflow hands that match out on
+// every hit. It must equal Recommend over the memoized features, and a
+// warm ask must cost one runner request, as a classify hit always has.
+// Real features always land on some row, so the "no Table II row" error
+// is checked through a planted entry whose object-size class no row
+// names: it must come back from the memo, hit after hit, exactly as
+// Recommend reports it.
+func TestRecommendWorkflowMemoMatchesRecommend(t *testing.T) {
+	rt := NewRunner(DefaultEnv(), 2)
+	for _, wf := range workloads.Suite() {
+		f, err := rt.Classify(wf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := Recommend(f)
+		for hit := 0; hit < 2; hit++ {
+			before := rt.Stats()
+			got, err := rt.RecommendWorkflow(wf)
+			if !reflect.DeepEqual(got, want) || err != wantErr {
+				t.Errorf("%s hit %d: RecommendWorkflow = %+v, %v; Recommend(Classify) = %+v, %v", wf.Name, hit, got, err, want, wantErr)
+			}
+			if after := rt.Stats(); after.Hits != before.Hits+1 || after.Runs() != before.Runs()+1 {
+				t.Errorf("%s hit %d: stats %+v then %+v, want one more hit and nothing else", wf.Name, hit, before, after)
+			}
+		}
+	}
+
+	wf := workloads.GTCReadOnly(8)
+	f, err := Classify(wf, rt.Env())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.ObjectSize = LargeObjects + 1
+	want, wantErr := Recommend(f)
+	if wantErr == nil || !strings.Contains(wantErr.Error(), "no Table II row") {
+		t.Fatalf("Recommend over an unknown size class: %v, want the no-row error", wantErr)
+	}
+	done := make(chan struct{})
+	close(done)
+	rt.state.cache[classifyKey(rt.envKey, &wf)] = &cacheEntry{done: done, value: newClassified(f)}
+	for hit := 0; hit < 2; hit++ {
+		got, err := rt.RecommendWorkflow(wf)
+		if err == nil || err.Error() != wantErr.Error() || !reflect.DeepEqual(got, want) {
+			t.Errorf("planted hit %d: RecommendWorkflow = %+v, %v; want %+v, %v", hit, got, err, want, wantErr)
+		}
+	}
+}
+
 // TestRunnerConcurrentCallers hammers one engine from many goroutines
 // mixing entry points — the -race backstop for the shared state.
 func TestRunnerConcurrentCallers(t *testing.T) {
