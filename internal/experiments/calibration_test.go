@@ -1,91 +1,77 @@
 package experiments
 
 import (
+	"sync"
 	"testing"
 
 	"pmemsched/internal/core"
-	"pmemsched/internal/workflow"
-	"pmemsched/internal/workloads"
 )
 
-// Calibration acceptance tests: these pin the qualitative paper
-// outcomes the calibrated model reproduces — the winning configuration
-// (or, for the two documented deviations, the winning execution mode)
-// of every suite workload, and the headline effect sizes within loose
-// bands. If a model or workload constant changes and breaks one of
+// Calibration acceptance tests: they assert the claim catalogue — the
+// paper's winning configuration (or, for the two documented
+// deviations, the winning execution mode) of every suite workload, and
+// the headline effect sizes within their bands — on one shared run
+// engine. If a model or workload constant changes and breaks one of
 // these, the change regressed the reproduction.
 //
 // Known deviations (also recorded in EXPERIMENTS.md): the two
 // miniAMR+MatrixMult rows at 8 and 16 ranks pick the correct execution
 // mode but the adjacent placement, with the alternatives within ~1-3%
 // of each other (the paper's own margin on Fig 9a is 7%).
+var deviations = map[string]bool{"miniamr+matrixmult/8r": true, "miniamr+matrixmult/16r": true}
 
-// expectation is one pinned outcome.
-type expectation struct {
-	wf       workflow.Spec
-	winner   core.Config // exact winner, or
-	modeOnly bool        // only the execution mode is pinned
-}
+// calibrationRunner is the run engine every calibration test shares.
+var calibrationRunner = sync.OnceValue(func() *core.Runner {
+	return core.NewRunner(core.DefaultEnv(), 0)
+})
 
-func suiteExpectations() []expectation {
-	sw, sr, pw, pr := core.SLocW, core.SLocR, core.PLocW, core.PLocR
-	return []expectation{
-		{workloads.MicroWorkflow(workloads.MicroObjectLarge, 8), sw, false},
-		{workloads.MicroWorkflow(workloads.MicroObjectLarge, 16), sw, false},
-		{workloads.MicroWorkflow(workloads.MicroObjectLarge, 24), sw, false},
-		{workloads.MicroWorkflow(workloads.MicroObjectSmall, 8), pr, false},
-		{workloads.MicroWorkflow(workloads.MicroObjectSmall, 16), pr, false},
-		{workloads.MicroWorkflow(workloads.MicroObjectSmall, 24), sr, false},
-		{workloads.GTCReadOnly(8), pr, false},
-		{workloads.GTCReadOnly(16), sr, false},
-		{workloads.GTCReadOnly(24), sw, false},
-		{workloads.GTCMatrixMult(8), pr, false},
-		{workloads.GTCMatrixMult(16), pr, false},
-		{workloads.GTCMatrixMult(24), sw, false},
-		{workloads.MiniAMRReadOnly(8), pr, false},
-		{workloads.MiniAMRReadOnly(16), sr, false},
-		{workloads.MiniAMRReadOnly(24), sw, false},
-		// Documented deviations: mode pinned, placement measured within
-		// ~1-3% of the paper's choice.
-		{workloads.MiniAMRMatrixMult(8), pw, true},
-		{workloads.MiniAMRMatrixMult(16), sw, true},
-		{workloads.MiniAMRMatrixMult(24), sw, false},
+// rowResults runs the claim's suite row under every configuration.
+func rowResults(t *testing.T, c Claim) []core.Result {
+	t.Helper()
+	results, err := calibrationRunner().RunAll(c.Workflow())
+	if err != nil {
+		t.Fatal(err)
 	}
+	return results
 }
 
-// TestSuiteWinnersMatchPaper is the headline acceptance test: the
-// oracle-best configuration for every suite workload matches the
-// paper's figure-by-figure reporting (Table II), exactly for 16 of 18
-// rows and by execution mode for the two documented deviations.
+// TestSuiteWinnersMatchPaper is the headline acceptance test: for every
+// suite workload the oracle-best configuration is the catalogue's paper
+// winner, exactly for 16 of 18 rows and by execution mode for the two
+// documented deviations. In -short mode it checks the GTC + Read-Only
+// rows only: the paper's three-way crossover (parallel at 8 ranks,
+// serial read-priority at 16, serial write-priority at 24).
 func TestSuiteWinnersMatchPaper(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full suite in -short mode")
-	}
-	env := core.DefaultEnv()
-	for _, e := range suiteExpectations() {
-		e := e
-		t.Run(e.wf.Name, func(t *testing.T) {
+	claims := Catalogue()
+	for _, row := range claims {
+		if row.Kind != WinnerClaim || testing.Short() && row.Family != "gtc+readonly" {
+			continue
+		}
+		name := row.Workflow().Name
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			dec, err := core.Oracle(e.wf, env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := dec.Best.Config
-			if e.modeOnly {
-				if got.Mode != e.winner.Mode {
-					t.Fatalf("winner %s has wrong mode (paper: %s)", got.Label(), e.winner.Label())
+			results := rowResults(t, row)
+			for _, c := range claims {
+				if c.Family != row.Family || c.Ranks != row.Ranks || c.Kind == RatioClaim {
+					continue
 				}
-				// The paper's placement must be within a few percent — the
-				// deviation is a knife-edge, not a regime error.
-				if r := dec.Regret(e.winner); r > 0.05 {
-					t.Fatalf("paper's choice %s regrets %.1f%% (deviation no longer knife-edge)",
-						e.winner.Label(), r*100)
+				f := c.Check(results)
+				if c.Kind == WinnerClaim && deviations[name] {
+					// The paper's placement must be within a few percent: the
+					// deviation is a knife-edge, not a regime error.
+					if got := core.Best(results).Config; got.Mode != c.Config.Mode {
+						t.Errorf("winner %s has wrong mode (paper: %s)", got.Label(), c.Config.Label())
+					}
+					if f.Value-1 > 0.05 {
+						t.Errorf("paper's choice %s regrets %.1f%% (deviation no longer knife-edge)",
+							c.Config.Label(), (f.Value-1)*100)
+					}
+					continue
 				}
-				return
-			}
-			if got != e.winner {
-				t.Fatalf("winner %s, paper %s (regret of paper's choice: %.1f%%)",
-					got.Label(), e.winner.Label(), dec.Regret(e.winner)*100)
+				if !f.Match {
+					t.Errorf("%s: measured %s, paper %s (paper's choice runs %.3fx the best)",
+						f.Name, f.Measured, f.Paper, f.Value)
+				}
 			}
 		})
 	}
@@ -93,99 +79,46 @@ func TestSuiteWinnersMatchPaper(t *testing.T) {
 
 // TestRecommendationsMatchPaperRows checks the classifier+rule engine
 // end to end: every suite workload must land on a Table II row whose
-// configuration matches the paper's reported choice for that workload
+// configuration is the catalogue's paper winner for that workload
 // (independent of what the simulated oracle says).
 func TestRecommendationsMatchPaperRows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full suite in -short mode")
 	}
-	env := core.DefaultEnv()
-	for _, e := range suiteExpectations() {
-		e := e
-		t.Run(e.wf.Name, func(t *testing.T) {
+	for _, c := range Catalogue() {
+		if c.Kind != WinnerClaim {
+			continue
+		}
+		wf := c.Workflow()
+		t.Run(wf.Name, func(t *testing.T) {
 			t.Parallel()
-			rec, err := core.RecommendWorkflow(e.wf, env)
+			rec, err := calibrationRunner().RecommendWorkflow(wf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Config != e.winner {
+			if rec.Config != c.Config {
 				t.Fatalf("rules pick %s (row %d), paper reports %s",
-					rec.Config.Label(), rec.Row.ID, e.winner.Label())
+					rec.Config.Label(), rec.Row.ID, c.Config.Label())
 			}
 		})
 	}
 }
 
-// TestHeadlineEffectSizes pins the paper's stated magnitudes within
-// loose bands (shape, not absolute numbers).
+// TestHeadlineEffectSizes pins the paper's stated magnitudes within the
+// catalogue's loose bands (shape, not absolute numbers).
 func TestHeadlineEffectSizes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("effect sizes in -short mode")
 	}
-	env := core.DefaultEnv()
-	type band struct {
-		name     string
-		wf       workflow.Spec
-		num, den core.Config
-		lo, hi   float64
-	}
-	bands := []band{
-		// §VI-A: S-LocW "up to 2.5x better than other scenarios" for the
-		// 64 MB workflows at high concurrency.
-		{"micro64@24 S-LocR vs S-LocW", workloads.MicroWorkflow(workloads.MicroObjectLarge, 24),
-			core.SLocR, core.SLocW, 1.6, 3.6},
-		// §VI-A: miniAMR+RO at 24 threads, S-LocW 25% faster than S-LocR.
-		{"miniamr+ro@24 S-LocR vs S-LocW", workloads.MiniAMRReadOnly(24),
-			core.SLocR, core.SLocW, 1.03, 1.9},
-		// §VI-A: GTC at 24 threads, S-LocW ~6% faster than S-LocR.
-		{"gtc+ro@24 S-LocR vs S-LocW", workloads.GTCReadOnly(24),
-			core.SLocR, core.SLocW, 1.01, 1.4},
-		// §VI-B: 2K at 24 threads, S-LocR ~11.5% faster than parallel.
-		{"micro2K@24 P-LocR vs S-LocR", workloads.MicroWorkflow(workloads.MicroObjectSmall, 24),
-			core.PLocR, core.SLocR, 1.02, 1.6},
-		// §VI-D: 2K at 16 threads, parallel faster than serial.
-		{"micro2K@16 S-LocR vs P-LocR", workloads.MicroWorkflow(workloads.MicroObjectSmall, 16),
-			core.SLocR, core.PLocR, 1.02, 1.6},
-	}
-	for _, b := range bands {
-		b := b
-		t.Run(b.name, func(t *testing.T) {
+	for _, c := range Catalogue() {
+		if c.Kind != RatioClaim {
+			continue
+		}
+		t.Run(c.Family+"/"+c.name(), func(t *testing.T) {
 			t.Parallel()
-			dec, err := core.Oracle(b.wf, env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var num, den float64
-			for _, r := range dec.Results {
-				if r.Config == b.num {
-					num = r.TotalSeconds
-				}
-				if r.Config == b.den {
-					den = r.TotalSeconds
-				}
-			}
-			ratio := num / den
-			if ratio < b.lo || ratio > b.hi {
-				t.Fatalf("ratio %.3f outside [%.2f, %.2f]", ratio, b.lo, b.hi)
+			if f := c.Check(rowResults(t, c)); !f.Match {
+				t.Fatalf("ratio %.3f outside [%.3g, %.3g] (paper: %s)", f.Value, c.Lo, c.Hi, c.Paper)
 			}
 		})
-	}
-}
-
-// TestGTCCrossover pins the paper's three-way GTC + Read-Only
-// crossover: parallel at 8 ranks, serial read-priority at 16, serial
-// write-priority at 24 — the single most characteristic result of the
-// evaluation.
-func TestGTCCrossover(t *testing.T) {
-	env := core.DefaultEnv()
-	want := map[int]core.Config{8: core.PLocR, 16: core.SLocR, 24: core.SLocW}
-	for ranks, cfg := range want {
-		dec, err := core.Oracle(workloads.GTCReadOnly(ranks), env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.Best.Config != cfg {
-			t.Errorf("GTC+RO@%d: winner %s, want %s", ranks, dec.Best.Config.Label(), cfg.Label())
-		}
 	}
 }

@@ -24,6 +24,9 @@ type Finding struct {
 	Paper    string `json:"paper"`    // what the paper reports
 	Measured string `json:"measured"` // what we measured
 	Match    bool   `json:"match"`
+	// Value is the number behind Measured for a catalogue claim (see
+	// Claim.Check).
+	Value float64 `json:"-"`
 }
 
 // Report is an experiment's rendered output plus its claim checks.
