@@ -38,13 +38,14 @@ func rowResults(t *testing.T, c Claim) []core.Result {
 // TestSuiteWinnersMatchPaper is the headline acceptance test: for every
 // suite workload the oracle-best configuration is the catalogue's paper
 // winner, exactly for 16 of 18 rows and by execution mode for the two
-// documented deviations. In -short mode it checks the GTC + Read-Only
-// rows only: the paper's three-way crossover (parallel at 8 ranks,
-// serial read-priority at 16, serial write-priority at 24).
+// documented deviations. TestGTCCrossover is its -short subset.
 func TestSuiteWinnersMatchPaper(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full suite in -short mode")
+	}
 	claims := Catalogue()
 	for _, row := range claims {
-		if row.Kind != WinnerClaim || testing.Short() && row.Family != "gtc+readonly" {
+		if row.Kind != WinnerClaim {
 			continue
 		}
 		name := row.Workflow().Name
@@ -74,6 +75,26 @@ func TestSuiteWinnersMatchPaper(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestGTCCrossover checks the catalogue's GTC + Read-Only winners, the
+// paper's three-way crossover (parallel at 8 ranks, serial
+// read-priority at 16, serial write-priority at 24) and the single most
+// characteristic result of the evaluation. It also runs in -short mode.
+func TestGTCCrossover(t *testing.T) {
+	var ranks []int
+	for _, c := range Catalogue() {
+		if c.Kind != WinnerClaim || c.Family != "gtc+readonly" {
+			continue
+		}
+		ranks = append(ranks, c.Ranks)
+		if f := c.Check(rowResults(t, c)); !f.Match {
+			t.Errorf("%s @ %d ranks: measured %s, paper %s", f.Name, c.Ranks, f.Measured, f.Paper)
+		}
+	}
+	if len(ranks) != 3 {
+		t.Fatalf("catalogue has gtc+readonly winner claims at ranks %v, want 8, 16 and 24", ranks)
 	}
 }
 
