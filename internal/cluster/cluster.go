@@ -275,35 +275,27 @@ type SchedContext struct {
 	// node when it is freshly repaired and other nodes fit.
 	avoid []int
 
-	// idx is the engine's bucketed free-capacity view (nil in
-	// hand-built contexts, where queries fall back to scanning Nodes).
-	// Tentative placements update it through a journal the engine rolls
-	// back after the pass.
+	// idx is the engine's free-capacity index (nil in hand-built
+	// contexts, where queries scan Nodes). Tentative placements charge
+	// it; the engine restores what the pass charged from undo.
 	idx *freeIndex
-	// owned implements copy-on-write: when non-nil, Nodes aliases the
-	// engine's authoritative views and the first mutation of a node
-	// clones it into the slice (owned[i] marks clones). Policies must
-	// mutate nodes only through Place. When nil (hand-built contexts),
-	// Nodes is private to the caller and is mutated directly.
-	owned []bool
-	// cloned lists the node IDs cloned this pass, in clone order: the
-	// engine restores exactly these view entries and owned marks after
-	// the pass, so a pass costs what it touched, not the fleet size.
-	cloned []int
-	// clones holds one clone per node, reused across passes: a clone's
-	// resident buffer keeps its capacity, so cloning allocates only
-	// when a node holds more residents than it ever has.
+	// clones holds one copy-on-write slot per node, reused across
+	// passes: Nodes aliases the engine's authoritative views, and the
+	// first mutation of a node clones it into its slot, so a node is
+	// cloned exactly when Nodes[id] == &clones[id]. A clone's resident
+	// buffer keeps its capacity, so cloning allocates only when a node
+	// holds more residents than it ever has. When nil (hand-built
+	// contexts), Nodes is private to the caller and is mutated
+	// directly. Policies must mutate nodes only through Place.
 	clones []NodeView
+	// undo lists the nodes cloned this pass, in clone order, with each
+	// one's index count at clone time: the engine restores exactly
+	// these view entries and counts after the pass, so a pass costs
+	// what it touched, not the fleet size.
+	undo []nodeUndo
 	// placed is the engine's reusable placement buffer; the built-in
 	// policies append to it and hand the grown buffer back.
 	placed []Placement
-	// ephemeral counts zero-duration placements made this pass. The
-	// index tracks structural occupancy (residents hold cores until
-	// their end time), but a zero-duration resident ends at Now and so
-	// holds nothing under FreeAt(Now) — the index cannot represent it,
-	// so once one exists the pass's remaining queries fall back to the
-	// linear scan, which reads the authoritative semantics.
-	ephemeral int
 	// residentsRegular vouches that every resident profile on Nodes has
 	// finite, non-negative demands, so no node scores below a job's
 	// overload on an idle socket (the aware pick's early exit). The
@@ -313,27 +305,29 @@ type SchedContext struct {
 	residentsRegular bool
 }
 
+// nodeUndo is one node cloned during a pass: its ID and its index
+// count before the pass charged it.
+type nodeUndo struct {
+	id   int
+	free int
+}
+
 // node returns a mutable view of the node, cloning it first under
 // copy-on-write so the engine's authoritative state stays untouched.
-// The clone lives in the node's reusable slot and is recorded in
-// cloned for the engine's restore.
+// The clone lives in the node's reusable slot and is recorded, with
+// the node's index count, in undo for the engine's restore.
 func (c *SchedContext) node(id int) *NodeView {
-	if c.owned == nil || c.owned[id] {
-		return c.Nodes[id]
+	n := c.Nodes[id]
+	if c.clones == nil || n == &c.clones[id] {
+		return n
 	}
-	n, cl := c.Nodes[id], &c.clones[id]
+	cl := &c.clones[id]
 	*cl = NodeView{ID: n.ID, Cores: n.Cores, DRAMBytes: n.DRAMBytes, Running: append(cl.Running[:0], n.Running...),
 		Down: n.Down, UpSeconds: n.UpSeconds}
 	c.Nodes[id] = cl
-	c.owned[id] = true
-	c.cloned = append(c.cloned, id)
+	c.undo = append(c.undo, nodeUndo{id: id, free: c.idx.free[id]})
 	return cl
 }
-
-// indexed reports whether the free-capacity index can answer queries
-// for this pass (it cannot once a zero-duration placement exists; see
-// ephemeral).
-func (c *SchedContext) indexed() bool { return c.idx != nil && c.ephemeral == 0 }
 
 // AvoidNode returns the node whose failure killed the job's latest
 // attempt (until the job starts again), or -1. The failure-aware
@@ -346,119 +340,57 @@ func (c *SchedContext) AvoidNode(jobID int) int {
 	return c.avoid[jobID]
 }
 
-// Fits returns the lowest-ID node with enough free cores for ranks at
-// the current time, or -1. With the index available this is a bitset
-// probe instead of an all-nodes scan; the answers are identical
-// because a down node indexes as zero free cores and every resident's
-// end time is after Now (zero-duration residents force the fallback;
-// see ephemeral).
-func (c *SchedContext) Fits(ranks int) int {
-	if c.indexed() {
-		return c.idx.firstFit(ranks)
-	}
-	return c.fitsLinear(ranks, -1)
-}
-
-// fitsExcept is Fits skipping one node ID (the failure-aware policies'
-// soft avoid constraint); skip < 0 skips nothing.
-func (c *SchedContext) fitsExcept(ranks, skip int) int {
-	if c.indexed() {
-		return c.idx.firstFitExcept(ranks, skip)
-	}
-	return c.fitsLinear(ranks, skip)
-}
-
-func (c *SchedContext) fitsLinear(ranks, skip int) int {
-	for _, n := range c.Nodes {
-		if n.ID != skip && n.FreeAt(c.Now) >= ranks {
-			return n.ID
-		}
-	}
-	return -1
-}
-
-// eachFit calls yield for every node with room for ranks at the
-// current time in ascending ID order, skipping node ID skip (skip < 0
-// skips nothing); yield returning false stops the walk.
-func (c *SchedContext) eachFit(ranks, skip int, yield func(n *NodeView) bool) {
-	if c.indexed() {
-		c.idx.eachFit(ranks, skip, func(id int) bool {
-			return yield(c.Nodes[id])
-		})
+// eachFit calls yield for every node other than skip with room for
+// ranks cores and dram bytes at the current time, in ascending ID
+// order; yield returning false stops the walk, and skip < 0 skips
+// nothing. The index answers core-only queries: a down node counts
+// zero free cores and every resident it charges ends after Now
+// (place never charges a zero-duration one), so it agrees with
+// FreeAt(Now). It knows only cores, so a DRAM demand — or a hand-built
+// context without an index — scans the nodes.
+func (c *SchedContext) eachFit(ranks int, dram float64, skip int, yield func(n *NodeView) bool) {
+	if dram <= 0 && c.idx != nil {
+		c.idx.eachFit(ranks, skip, func(id int) bool { return yield(c.Nodes[id]) })
 		return
 	}
 	for _, n := range c.Nodes {
-		if n.ID == skip || n.FreeAt(c.Now) < ranks {
-			continue
-		}
-		if !yield(n) {
+		if n.ID != skip && n.fitsAt(c.Now, ranks, dram) && !yield(n) {
 			return
 		}
 	}
 }
 
-// FitsJob is Fits for a concrete job: identical for untiered jobs, and
-// for jobs whose tier policy holds node DRAM resident it additionally
-// requires the DRAM demand to fit. The free-capacity index knows only
-// cores, so DRAM-demanding jobs always take the linear scan — exact,
-// just not O(1).
+// firstFit returns the lowest-ID node eachFit would visit, or -1.
+func (c *SchedContext) firstFit(ranks int, dram float64, skip int) int {
+	first := -1
+	c.eachFit(ranks, dram, skip, func(n *NodeView) bool {
+		first = n.ID
+		return false
+	})
+	return first
+}
+
+// FitsJob returns the lowest-ID node with room for the job at the
+// current time — its ranks, and for a job whose tier policy holds node
+// DRAM resident that DRAM too — or -1.
 func (c *SchedContext) FitsJob(j Job) int {
-	return c.fitsExceptJob(&j, -1)
+	return c.firstFit(j.Workflow.Ranks, jobDRAMBytes(&j), -1)
 }
 
-// fitsExceptJob is FitsJob skipping one node ID; skip < 0 skips
-// nothing.
-func (c *SchedContext) fitsExceptJob(j *Job, skip int) int {
-	dram := jobDRAMBytes(j)
-	if dram <= 0 {
-		return c.fitsExcept(j.Workflow.Ranks, skip)
-	}
-	for _, n := range c.Nodes {
-		if n.ID != skip && n.fitsAt(c.Now, j.Workflow.Ranks, dram) {
-			return n.ID
-		}
-	}
-	return -1
-}
-
-// eachFitJob is eachFit for a concrete job, adding the DRAM demand
-// check for tiered jobs.
-func (c *SchedContext) eachFitJob(j *Job, skip int, yield func(n *NodeView) bool) {
-	dram := jobDRAMBytes(j)
-	if dram <= 0 {
-		c.eachFit(j.Workflow.Ranks, skip, yield)
-		return
-	}
-	for _, n := range c.Nodes {
-		if n.ID == skip || !n.fitsAt(c.Now, j.Workflow.Ranks, dram) {
-			continue
-		}
-		if !yield(n) {
-			return
-		}
-	}
-}
-
-// EarliestFitJob is EarliestFit for a concrete job, honoring its DRAM
-// demand alongside its core count.
+// EarliestFitJob returns the earliest (time, node) at which the job's
+// ranks and DRAM demand are both free on some node, ties resolved to
+// the lower node ID.
 func (c *SchedContext) EarliestFitJob(j Job) (float64, int) {
 	return c.earliestFit(j.Workflow.Ranks, jobDRAMBytes(&j))
 }
 
-// EarliestFit returns the earliest (time, node) at which ranks cores
-// become free on some node, ties resolved to the lower node ID. When
-// something fits right now the index answers directly; the full scan
+// earliestFit is EarliestFitJob for a rank count and DRAM demand. When
+// the index finds room right now it answers directly; the full scan
 // over resident end times runs only for a saturated cluster, where it
-// is unavoidable.
-func (c *SchedContext) EarliestFit(ranks int) (float64, int) {
-	return c.earliestFit(ranks, 0)
-}
-
-// earliestFit is EarliestFit with a DRAM demand; the index knows only
-// cores, so a DRAM-demanding query always scans.
+// is unavoidable, and for a DRAM demand, which the index cannot see.
 func (c *SchedContext) earliestFit(ranks int, dram float64) (float64, int) {
-	if dram <= 0 && c.indexed() {
-		if id := c.idx.firstFit(ranks); id >= 0 {
+	if dram <= 0 && c.idx != nil {
+		if id := c.firstFit(ranks, 0, -1); id >= 0 {
 			return c.Now, id
 		}
 	}
@@ -486,15 +418,10 @@ func (c *SchedContext) place(job *Job, node int, cfg core.Config, duration float
 	if !prof.regularDemand() {
 		c.residentsRegular = false
 	}
-	if c.idx != nil {
-		if duration > 0 {
-			c.idx.place(node, job.Workflow.Ranks)
-		} else {
-			// A zero-duration resident holds no cores at Now, which the
-			// structural index cannot express: answer the rest of the pass
-			// from the snapshot instead.
-			c.ephemeral++
-		}
+	if c.idx != nil && duration > 0 {
+		// A zero-duration resident ends at Now and so holds no cores
+		// under FreeAt(Now): charging it would make the index disagree.
+		c.idx.place(node, job.Workflow.Ranks)
 	}
 	return Placement{JobID: job.ID, Node: node, Config: cfg}
 }

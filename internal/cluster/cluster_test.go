@@ -135,7 +135,7 @@ func (g *headGuard) Name() string { return g.inner.Name() }
 func (g *headGuard) Schedule(ctx *SchedContext) ([]Placement, error) {
 	before := 0.0
 	if len(ctx.Queue) > 0 {
-		before, _ = ctx.EarliestFit(ctx.Queue[0].Workflow.Ranks)
+		before, _ = ctx.EarliestFitJob(ctx.Queue[0])
 	}
 	placed, err := g.inner.Schedule(ctx)
 	if err != nil || len(ctx.Queue) == 0 {
@@ -148,8 +148,9 @@ func (g *headGuard) Schedule(ctx *SchedContext) ([]Placement, error) {
 		}
 	}
 	// ctx.Nodes is the snapshot the policy recorded its placements on,
-	// so EarliestFit now reflects the pass's backfill decisions.
-	if after, _ := ctx.EarliestFit(head.Workflow.Ranks); after > before+1e-9 {
+	// so EarliestFitJob now reflects the pass's backfill decisions — for
+	// a head holding DRAM, on its DRAM as well as its cores.
+	if after, _ := ctx.EarliestFitJob(head); after > before+1e-9 {
 		g.t.Errorf("%s: pass at t=%.3f delayed head job %d's reservation %.3f -> %.3f",
 			g.inner.Name(), ctx.Now, head.ID, before, after)
 	}

@@ -42,19 +42,21 @@ import (
 //
 // Fleet scale: the engine consumes its trace one staged arrival at a
 // time (a million-job trace never needs a million-element slice),
-// answers placement queries through the bucketed freeIndex instead of
-// scanning every node, and hands policies a copy-on-write view instead
-// of deep-copying every NodeView per pass. All three are exact — the
-// index returns the node the linear scan would have, the COW view
-// reads identically, and the metrics integrate the same occupancy
-// values — which the tests pin against a brute-force linear reference.
-// A pass costs what it touches, not the fleet size: the view aliases
-// the nodes between passes, a pass clones a node into a reusable slot
-// on its first placement there, and afterwards restores only the
-// entries it cloned. The queue copy, the context and the placement
-// buffer are reused across passes too, and the event heap is typed
-// (container/heap's sift order without boxing each event), so a
-// steady-state pass allocates only where a buffer must grow.
+// keeps one free-core count per node (freeIndex) that answers
+// placement queries without walking resident lists and that the
+// metrics meter directly, and hands policies a copy-on-write view
+// instead of deep-copying every NodeView per pass. All three are exact
+// — the index returns the node the linear scan would have, the COW
+// view reads identically, and Cores minus the count is the occupancy a
+// node scan reports — which the tests pin against a brute-force linear
+// reference. A pass costs what it touches, not the fleet size: the
+// view aliases the nodes between passes, a pass clones a node into a
+// reusable slot on its first placement there, noting the node's count,
+// and afterwards restores only the view entries and counts it cloned.
+// The queue copy, the context and the placement buffer are reused
+// across passes too, and the event heap is typed (container/heap's
+// sift order without boxing each event), so a steady-state pass
+// allocates only where a buffer must grow.
 // The reflow is exact too: it re-rates only the sockets whose
 // residency changed, which are the only ones whose rates can move, and
 // it integrates progress lazily by replaying a log of reflow instants
@@ -291,20 +293,18 @@ type progressLog struct {
 }
 
 // engine is the scheduling core both drivers share: the nodes, the
-// free-capacity index, the metered occupancy, the event heap, per-job
-// state, the pending queue and the failure-avoid list.
+// free-capacity index, the event heap, per-job state, the pending
+// queue and the failure-avoid list.
 type engine struct {
 	opt   Options
 	cores int
 	retry RetryPolicy
 
 	nodes []*NodeView
-	idx   *freeIndex
-	// occ mirrors each node's metered occupancy (the value
-	// Cores - FreeAt(now) would report, including the convention that a
-	// down node meters as fully busy), maintained incrementally so the
-	// metrics never rescan resident lists.
-	occ     []int
+	// idx holds each node's free cores; the metrics meter Cores minus
+	// it (a down node meters as fully busy), so they never rescan
+	// resident lists.
+	idx     *freeIndex
 	states  []*jobState
 	events  eventHeap
 	pending []Job
@@ -319,13 +319,13 @@ type engine struct {
 
 	// Reusable policy-pass scratch. view aliases nodes entry for entry
 	// between passes (a pass clones into it copy-on-write and restores
-	// what it cloned); queue is the pass's copy of pending; ctx is the
-	// context every pass hands the policy, with its clone slots and
-	// placement buffer.
-	view  []*NodeView
-	owned []bool
-	queue []Job
-	ctx   SchedContext
+	// what it cloned); clones holds the per-node clone slots; queue is
+	// the pass's copy of pending; ctx is the context every pass hands
+	// the policy, with its undo list and placement buffer.
+	view   []*NodeView
+	clones []NodeView
+	queue  []Job
+	ctx    SchedContext
 
 	src      TraceSource // stages trace arrivals; nil once exhausted (always, for the store)
 	finished int         // completed or permanently failed jobs
@@ -369,10 +369,8 @@ func (e *engine) addNode() int {
 	id := e.idx.add()
 	n := &NodeView{ID: id, Cores: e.cores, DRAMBytes: e.opt.DRAMBytesPerNode}
 	e.nodes = append(e.nodes, n)
-	e.occ = append(e.occ, 0)
 	e.view = append(e.view, n)
-	e.owned = append(e.owned, false)
-	e.ctx.clones = append(e.ctx.clones, NodeView{})
+	e.clones = append(e.clones, NodeView{})
 	e.dirty.mask = append(e.dirty.mask, 0)
 	return id
 }
@@ -449,7 +447,6 @@ func (e *engine) step(now float64, force bool) (bool, error) {
 			}
 			if st.end > st.start { // zero-remaining placements never occupied cores
 				e.idx.remove(st.node, st.job.Workflow.Ranks)
-				e.occ[st.node] -= st.job.Workflow.Ranks
 			}
 			if e.opt.Interference.Enabled {
 				e.dirty.mark(st.node, st.profile.DeviceSocket)
@@ -467,8 +464,7 @@ func (e *engine) step(now float64, force bool) (bool, error) {
 				}
 			}
 			n.Running = n.Running[:0]
-			e.idx.down(ev.job)
-			e.occ[ev.job] = n.Cores // a down node meters as fully busy (FreeAt reports 0 free)
+			e.idx.down(ev.job) // a down node meters as fully busy (FreeAt reports 0 free)
 			live = true
 		case evNodeUp:
 			n := e.nodes[ev.job]
@@ -478,7 +474,6 @@ func (e *engine) step(now float64, force bool) (bool, error) {
 				e.events.add(event{at: at, kind: evNodeDown, job: ev.job})
 			}
 			e.idx.up(ev.job)
-			e.occ[ev.job] = 0
 			live = true
 		}
 	}
@@ -496,10 +491,11 @@ func (e *engine) step(now float64, force bool) (bool, error) {
 
 // pass consults the policy once over the pending queue and commits the
 // returned placements. The policy sees a copy-on-write view of the
-// nodes and the index under a journal the engine rolls back before
-// re-applying the committed placements to the authoritative state.
-// The view is restored entry by entry from the context's cloned list,
-// so it aliases the authoritative nodes again for the next pass.
+// nodes and charges its tentative placements to the index; the pass
+// then restores each node the policy cloned — its view entry and its
+// index count together, from the context's undo list — before
+// re-applying the committed placements to the authoritative state, so
+// the view aliases the authoritative nodes again for the next pass.
 func (e *engine) pass(now float64) error {
 	if len(e.nodes) == 0 {
 		return nil // a store may see jobs before its fleet registers
@@ -507,14 +503,12 @@ func (e *engine) pass(now float64) error {
 	e.queue = append(e.queue[:0], e.pending...)
 	ctx := &e.ctx
 	*ctx = SchedContext{Now: now, Queue: e.queue, Nodes: e.view, Est: e.opt.Estimator,
-		Model: e.opt.Interference, avoid: e.avoid, idx: e.idx, owned: e.owned, residentsRegular: !e.irregular,
-		cloned: ctx.cloned[:0], clones: ctx.clones, placed: ctx.placed}
-	e.idx.begin()
+		Model: e.opt.Interference, avoid: e.avoid, idx: e.idx, clones: e.clones, residentsRegular: !e.irregular,
+		undo: ctx.undo[:0], placed: ctx.placed}
 	placements, err := e.opt.Policy.Schedule(ctx)
-	e.idx.rollback()
-	for _, id := range ctx.cloned {
-		e.view[id] = e.nodes[id]
-		e.owned[id] = false
+	for _, u := range ctx.undo {
+		e.view[u.id] = e.nodes[u.id]
+		e.idx.free[u.id] = u.free
 	}
 	if err != nil {
 		return err
@@ -598,7 +592,6 @@ func (e *engine) commit(now float64, pl Placement) error {
 	}
 	if remaining > 0 {
 		e.idx.place(pl.Node, ranks)
-		e.occ[pl.Node] += ranks
 	}
 	e.pending = removeJob(e.pending, st.job.ID)
 	return nil
@@ -637,7 +630,7 @@ func simulate(src TraceSource, opt Options) (*Metrics, error) {
 			break
 		}
 		now := head.at
-		m.integrate(e.occ, prev, now)
+		m.integrate(e.idx.free, prev, now)
 		prev = now
 		ran, err := e.step(now, false)
 		if err != nil {
@@ -648,7 +641,7 @@ func simulate(src TraceSource, opt Options) (*Metrics, error) {
 			// change, so there is nothing to schedule or sample.
 			continue
 		}
-		m.sample(now, e.occ)
+		m.sample(now, e.idx.free)
 		if e.src == nil && e.finished == len(e.states) {
 			// Every job has completed or permanently failed. Leaving now
 			// (instead of draining the heap) is what terminates a random

@@ -57,17 +57,17 @@ func TestEventHeapMatchesContainerHeap(t *testing.T) {
 }
 
 // checkViewRestored demands that between passes the engine's policy
-// view aliases its nodes entry for entry with no node marked cloned:
+// view aliases its nodes entry for entry, so no node reads as cloned:
 // the pass restores exactly what it cloned.
 func checkViewRestored(t *testing.T, label string, e *engine) {
 	t.Helper()
-	if len(e.view) != len(e.nodes) || len(e.owned) != len(e.nodes) || len(e.ctx.clones) != len(e.nodes) {
-		t.Fatalf("%s: %d nodes, %d view entries, %d owned marks, %d clone slots",
-			label, len(e.nodes), len(e.view), len(e.owned), len(e.ctx.clones))
+	if len(e.view) != len(e.nodes) || len(e.clones) != len(e.nodes) || len(e.idx.free) != len(e.nodes) {
+		t.Fatalf("%s: %d nodes, %d view entries, %d clone slots, %d index counts",
+			label, len(e.nodes), len(e.view), len(e.clones), len(e.idx.free))
 	}
 	for i, n := range e.nodes {
-		if e.view[i] != n || e.owned[i] {
-			t.Fatalf("%s: node %d: view entry %p (owned %v), node %p", label, i, e.view[i], e.owned[i], n)
+		if e.view[i] != n {
+			t.Fatalf("%s: node %d: view entry %p (clone slot %p), node %p", label, i, e.view[i], &e.clones[i], n)
 		}
 	}
 }

@@ -129,11 +129,11 @@ func TestCapacityEdgeCases(t *testing.T) {
 	}
 }
 
-// TestFreeIndexMatchesBruteForce drives the bucketed bitset index with
-// a seeded random op sequence across a >2-word cluster and checks
-// every query against a naive free-core array after each op — the
-// index must agree with the linear scan on firstFit, firstFitExcept
-// and the eachFit walk for every rank count.
+// TestFreeIndexMatchesBruteForce drives the free-capacity index with a
+// seeded random op sequence and checks every query against a naive
+// free-core array after each op: the eachFit walk, whose first node is
+// the first fit, must visit exactly the nodes the array says fit, for
+// every rank count, with and without a skipped node.
 func TestFreeIndexMatchesBruteForce(t *testing.T) {
 	const nodes, cores = 150, 8
 	ix := newFreeIndex(nodes, cores)
@@ -141,37 +141,24 @@ func TestFreeIndexMatchesBruteForce(t *testing.T) {
 	for i := range free {
 		free[i] = cores
 	}
-	naiveFirst := func(ranks, skip int) int {
-		for id, f := range free {
-			if id != skip && f >= ranks {
-				return id
-			}
-		}
-		return -1
-	}
 	check := func(step int) {
 		t.Helper()
 		for ranks := 0; ranks <= cores+1; ranks++ {
-			skip := (step*7 + ranks) % nodes
-			if got, want := ix.firstFit(ranks), naiveFirst(ranks, -1); got != want {
-				t.Fatalf("step %d: firstFit(%d) = %d, want %d", step, ranks, got, want)
-			}
-			if got, want := ix.firstFitExcept(ranks, skip), naiveFirst(ranks, skip); got != want {
-				t.Fatalf("step %d: firstFitExcept(%d, %d) = %d, want %d", step, ranks, skip, got, want)
-			}
-			var walked []int
-			ix.eachFit(ranks, skip, func(id int) bool {
-				walked = append(walked, id)
-				return len(walked) < 5
-			})
-			var want []int
-			for id, f := range free {
-				if id != skip && f >= ranks && len(want) < 5 {
-					want = append(want, id)
+			for _, skip := range []int{-1, (step*7 + ranks) % nodes} {
+				var walked []int
+				ix.eachFit(ranks, skip, func(id int) bool {
+					walked = append(walked, id)
+					return len(walked) < 5
+				})
+				var want []int
+				for id, f := range free {
+					if id != skip && f >= ranks && len(want) < 5 {
+						want = append(want, id)
+					}
 				}
-			}
-			if fmt.Sprint(walked) != fmt.Sprint(want) {
-				t.Fatalf("step %d: eachFit(%d, %d) walked %v, want %v", step, ranks, skip, walked, want)
+				if fmt.Sprint(walked) != fmt.Sprint(want) {
+					t.Fatalf("step %d: eachFit(%d, %d) walked %v, want %v", step, ranks, skip, walked, want)
+				}
 			}
 		}
 	}
@@ -201,40 +188,98 @@ func TestFreeIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestFreeIndexJournalRollback checks the begin/rollback bracket the
-// engine wraps around every policy pass: tentative updates must undo
-// exactly, including several touching the same node.
-func TestFreeIndexJournalRollback(t *testing.T) {
-	ix := newFreeIndex(70, 8)
-	ix.place(3, 8)
-	ix.place(65, 5)
-	before := append([]int(nil), ix.free...)
-	ix.begin()
-	ix.place(0, 4)
-	ix.place(0, 2)
-	ix.place(65, 3)
-	ix.down(10)
-	if got := ix.firstFit(8); got != 1 {
-		t.Errorf("firstFit(8) during the pass = %d, want 1", got)
+// tentativeOnly is a policy that places its jobs tentatively on the
+// listed nodes, in order, and commits nothing.
+type tentativeOnly struct {
+	jobs  []Job
+	nodes []int
+	// during is the index's first fit for a whole socket, read after
+	// the tentative placements.
+	during int
+}
+
+func (p *tentativeOnly) Name() string { return "tentative-only" }
+
+func (p *tentativeOnly) Schedule(ctx *SchedContext) ([]Placement, error) {
+	for i, node := range p.nodes {
+		ctx.Place(p.jobs[i], node, core.Config{}, 10, JobProfile{})
 	}
-	ix.rollback()
-	for id, f := range ix.free {
-		if f != before[id] {
-			t.Fatalf("rollback left node %d at %d free cores, want %d", id, f, before[id])
+	p.during = ctx.firstFit(ctx.idx.cores, 0, -1)
+	return nil, nil
+}
+
+// TestPassRestoresIndexAndView checks the restore every policy pass
+// ends with: a pass whose policy places tentatively on several nodes,
+// twice on one of them, and returns no placements must leave every
+// index count and every view entry as it found them.
+func TestPassRestoresIndexAndView(t *testing.T) {
+	e, err := newEngine(Options{Nodes: 70, CoresPerSocket: 8, Policy: FCFS(core.SLocW), Estimator: fakeEst{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct{ node, ranks int }{{3, 8}, {65, 5}} {
+		e.nodes[r.node].place(100+r.node, r.ranks, 50, 0, JobProfile{})
+		e.idx.place(r.node, r.ranks)
+	}
+	pol := &tentativeOnly{nodes: []int{0, 65, 0, 69}}
+	for i, ranks := range []int{4, 3, 2, 8} {
+		pol.jobs = append(pol.jobs, Job{ID: i, Workflow: workloads.GTCReadOnly(ranks)})
+	}
+	e.opt.Policy = pol
+	free := append([]int(nil), e.idx.free...)
+	view := append([]*NodeView(nil), e.view...)
+	if err := e.pass(0); err != nil {
+		t.Fatal(err)
+	}
+	if pol.during != 1 {
+		t.Errorf("first fit for 8 ranks during the pass = %d, want 1", pol.during)
+	}
+	for id := range e.nodes {
+		if e.idx.free[id] != free[id] {
+			t.Errorf("node %d holds %d free cores after the pass, want %d", id, e.idx.free[id], free[id])
+		}
+		if e.view[id] != view[id] || e.view[id] != e.nodes[id] {
+			t.Errorf("node %d: view entry %p after the pass, want the node %p", id, e.view[id], e.nodes[id])
 		}
 	}
-	if got := ix.firstFit(8); got != 0 {
-		t.Errorf("firstFit(8) after rollback = %d, want 0", got)
+	if n := e.nodes[0]; len(n.Running) != 0 {
+		t.Errorf("node 0 holds %d residents after a pass that committed nothing", len(n.Running))
 	}
 }
 
-// TestZeroDurationPlacementIndexed pins the ephemeral fallback: a
-// zero-duration resident ends at Now and so holds no cores under
-// FreeAt(Now), which the structural index cannot express. After such a
-// placement the pass must answer from the snapshot — if the index
-// (wrongly) charged the cores, the 4-rank follower would not co-place
-// with the 4-rank zero-duration job on the 6-core node and the
-// schedule would diverge from the linear scan's.
+// TestIndexDriftPanics: a count the index cannot hold — below zero or
+// above a socket's capacity — means the index has drifted from the
+// node views, and must fail loudly, naming the node, the count and
+// the capacity.
+func TestIndexDriftPanics(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		op   func(ix *freeIndex)
+		want string
+	}{
+		{"over-place", func(ix *freeIndex) { ix.place(2, 6) }, "node 2 would hold -2 free cores (capacity 8)"},
+		{"over-remove", func(ix *freeIndex) { ix.remove(2, 5) }, "node 2 would hold 9 free cores (capacity 8)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ix := newFreeIndex(3, 8)
+			ix.place(2, 4)
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, "free-capacity index drifted") || !strings.Contains(msg, c.want) {
+					t.Errorf("panic %q, want a drift message with %q", msg, c.want)
+				}
+			}()
+			c.op(ix)
+		})
+	}
+}
+
+// TestZeroDurationPlacementIndexed pins that a zero-duration placement
+// never charges the index: such a resident ends at Now and so holds no
+// cores under FreeAt(Now), and the index must agree. If place charged
+// its cores, the 4-rank follower would not co-place with the 4-rank
+// zero-duration job on the 6-core node and the schedule would diverge
+// from the linear scan's.
 func TestZeroDurationPlacementIndexed(t *testing.T) {
 	z := workloads.GTCReadOnly(4)
 	b := workloads.MiniAMRReadOnly(4)

@@ -1,99 +1,61 @@
 package cluster
 
-import "math/bits"
+import "fmt"
 
-// The indexed free-capacity view.
+// The free-capacity index.
 //
-// Every scheduling pass used to scan all N nodes (and each node's
-// resident list) to answer "which is the lowest-ID node with room for
-// R ranks?". At 2-3 nodes that is free; at 1,000 nodes it dominates
-// the simulation. freeIndex keeps the answer materialized: nodes are
-// bucketed by their structural free cores (capacity minus the ranks of
-// every resident, zero while down), each bucket is a bitset over node
-// IDs, and a first-fit query unions the buckets at or above the
-// requested rank count word by word, returning the lowest set bit —
-// deterministically the same node the linear scan would have picked,
-// since ties have always broken toward the lower ID.
+// Every scheduling pass asks "which is the lowest-ID node with room
+// for R ranks?". Scanning each node's resident list to answer it costs
+// a pass the whole fleet's residents; at 1,000 nodes that dominates the
+// simulation. freeIndex keeps one structural free-core count per node
+// (capacity minus the ranks of every resident, zero while down), so a
+// first-fit query is a walk over one dense int array that stops at the
+// first node with room — deterministically the node the linear scan
+// over the views would pick, since ties have always broken toward the
+// lower ID.
 //
 // The index answers queries about the *current* instant only. Future
 // capacity ("when do R cores free up?") still walks resident end
 // times, but only after the index has said nothing fits now — the
 // saturated-cluster case, where a full scan is unavoidable anyway.
 //
-// Policies record tentative placements on the index during a
-// scheduling pass through a journal (begin/rollback): the engine
-// rolls the pass's updates back after the policy returns and re-applies
-// the committed placements, so the authoritative view never drifts.
+// Policies charge their tentative placements to the index during a
+// scheduling pass. The first placement on a node clones its view and
+// records the node's count beside the clone (SchedContext.node); after
+// the policy returns the engine restores each cloned node's view entry
+// and count together, then re-applies the committed placements, so the
+// authoritative counts never drift. The metrics integrate and sample
+// Cores minus these counts, so occupancy is never kept twice.
 
-// nodeBits is a fixed-size bitset over node IDs with a lowest-set-bit
-// query.
-type nodeBits []uint64
-
-func newNodeBits(n int) nodeBits { return make(nodeBits, (n+63)/64) }
-
-func (b nodeBits) set(id int)   { b[id>>6] |= 1 << uint(id&63) }
-func (b nodeBits) clear(id int) { b[id>>6] &^= 1 << uint(id&63) }
-
-// idxUndo is one journaled index mutation: the node's free-core count
-// before the mutation.
-type idxUndo struct {
-	node int
-	free int
-}
-
-// freeIndex is the bucketed free-capacity view over all nodes.
+// freeIndex is the free-capacity view over all nodes.
 type freeIndex struct {
-	cores   int        // per-socket capacity; free ranges over [0, cores]
-	free    []int      // structural free cores per node (0 while down)
-	buckets []nodeBits // buckets[f] = nodes with exactly f free cores
-
-	journal    []idxUndo
-	journaling bool
+	cores int   // per-socket capacity; free ranges over [0, cores]
+	free  []int // structural free cores per node (0 while down)
 }
 
 func newFreeIndex(nodes, cores int) *freeIndex {
-	ix := &freeIndex{
-		cores:   cores,
-		free:    make([]int, nodes),
-		buckets: make([]nodeBits, cores+1),
-	}
-	for f := range ix.buckets {
-		ix.buckets[f] = newNodeBits(nodes)
-	}
+	ix := &freeIndex{cores: cores, free: make([]int, nodes)}
 	for id := range ix.free {
 		ix.free[id] = cores
-		ix.buckets[cores].set(id)
 	}
 	return ix
 }
 
 // add appends one fresh (fully free) node and returns its ID. The
-// incremental State store registers nodes one at a time, so the index
-// must grow in place: the per-node free array gains a slot and every
-// bucket bitset gains a word when the node count crosses a 64
-// boundary. Never called while journaling (node registration is not a
-// policy pass).
+// incremental State store registers nodes one at a time.
 func (ix *freeIndex) add() int {
-	id := len(ix.free)
 	ix.free = append(ix.free, ix.cores)
-	words := (id + 64) / 64
-	for f := range ix.buckets {
-		for len(ix.buckets[f]) < words {
-			ix.buckets[f] = append(ix.buckets[f], 0)
-		}
-	}
-	ix.buckets[ix.cores].set(id)
-	return id
+	return len(ix.free) - 1
 }
 
-// setFree moves the node to the bucket for f free cores.
+// setFree sets the node's free-core count. A count outside [0, cores]
+// means the index has drifted from the node views — a placement the
+// views allowed but the index could not hold — and panics naming the
+// node, rather than letting the drift pass unnoticed.
 func (ix *freeIndex) setFree(node, f int) {
-	old := ix.free[node]
-	if ix.journaling {
-		ix.journal = append(ix.journal, idxUndo{node: node, free: old})
+	if f < 0 || f > ix.cores {
+		panic(fmt.Sprintf("cluster: free-capacity index drifted: node %d would hold %d free cores (capacity %d)", node, f, ix.cores))
 	}
-	ix.buckets[old].clear(node)
-	ix.buckets[f].set(node)
 	ix.free[node] = f
 }
 
@@ -110,80 +72,13 @@ func (ix *freeIndex) down(node int) { ix.setFree(node, 0) }
 // up restores the node's full capacity (a repaired node is empty).
 func (ix *freeIndex) up(node int) { ix.setFree(node, ix.cores) }
 
-// begin starts journaling tentative updates; rollback undoes them in
-// reverse order. The engine brackets every policy pass with the pair.
-func (ix *freeIndex) begin() {
-	ix.journaling = true
-	ix.journal = ix.journal[:0]
-}
-
-func (ix *freeIndex) rollback() {
-	ix.journaling = false
-	for i := len(ix.journal) - 1; i >= 0; i-- {
-		u := ix.journal[i]
-		ix.buckets[ix.free[u.node]].clear(u.node)
-		ix.buckets[u.free].set(u.node)
-		ix.free[u.node] = u.free
-	}
-	ix.journal = ix.journal[:0]
-}
-
-// firstFit returns the lowest node ID with at least ranks free cores,
-// or -1. Exactly the node the linear first-fit scan would pick.
-func (ix *freeIndex) firstFit(ranks int) int {
-	return ix.firstFitExcept(ranks, -1)
-}
-
-// firstFitExcept is firstFit skipping one node ID (the failure-aware
-// policies' soft avoid constraint); skip < 0 skips nothing.
-func (ix *freeIndex) firstFitExcept(ranks, skip int) int {
-	if ranks > ix.cores {
-		return -1
-	}
-	if ranks < 0 {
-		ranks = 0
-	}
-	words := len(ix.buckets[0])
-	for w := 0; w < words; w++ {
-		var acc uint64
-		for f := ranks; f <= ix.cores; f++ {
-			acc |= ix.buckets[f][w]
-		}
-		if skip >= 0 && skip>>6 == w {
-			acc &^= 1 << uint(skip&63)
-		}
-		if acc != 0 {
-			return w<<6 + bits.TrailingZeros64(acc)
-		}
-	}
-	return -1
-}
-
-// eachFit calls yield for every node with at least ranks free cores in
-// ascending ID order; yield returning false stops the walk. The aware
-// policies use it to score only candidate nodes.
+// eachFit calls yield for every node other than skip with at least
+// ranks free cores, in ascending ID order; yield returning false stops
+// the walk. skip < 0 skips nothing.
 func (ix *freeIndex) eachFit(ranks, skip int, yield func(id int) bool) {
-	if ranks > ix.cores {
-		return
-	}
-	if ranks < 0 {
-		ranks = 0
-	}
-	words := len(ix.buckets[0])
-	for w := 0; w < words; w++ {
-		var acc uint64
-		for f := ranks; f <= ix.cores; f++ {
-			acc |= ix.buckets[f][w]
-		}
-		if skip >= 0 && skip>>6 == w {
-			acc &^= 1 << uint(skip&63)
-		}
-		for acc != 0 {
-			id := w<<6 + bits.TrailingZeros64(acc)
-			if !yield(id) {
-				return
-			}
-			acc &= acc - 1
+	for id, f := range ix.free {
+		if f >= ranks && id != skip && !yield(id) {
+			return
 		}
 	}
 }

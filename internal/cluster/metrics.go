@@ -126,24 +126,29 @@ func newMetrics(policy string, nodes, cores int, interference, faults bool, flee
 }
 
 // integrate accrues busy core-seconds for the interval [from, to)
-// under the occupancy that held throughout it. occ is the engine's
-// incrementally maintained occupancy array: occ[i] holds exactly
-// Cores - FreeAt(from) (a down node counts as fully busy).
-func (m *Metrics) integrate(occ []int, from, to float64) {
+// under the occupancy that held throughout it. free is the engine's
+// free-capacity index: free[i] holds exactly FreeAt(from), so node i
+// keeps cores - free[i] busy (a down node counts as fully busy).
+func (m *Metrics) integrate(free []int, from, to float64) {
 	if to <= from {
 		return
 	}
-	for i, c := range occ {
-		m.busy[i] += float64(c) * (to - from)
+	for i, f := range free {
+		m.busy[i] += float64(m.cores-f) * (to - from)
 	}
 }
 
-// sample records the post-scheduling occupancy at an event time.
-func (m *Metrics) sample(now float64, occ []int) {
+// sample records the post-scheduling occupancy, cores - free per node,
+// at an event time.
+func (m *Metrics) sample(now float64, free []int) {
 	if m.summaryOnly {
 		return
 	}
-	m.Series = append(m.Series, Sample{TimeSeconds: now, CoresInUse: append([]int(nil), occ...)})
+	inUse := make([]int, len(free))
+	for i, f := range free {
+		inUse[i] = m.cores - f
+	}
+	m.Series = append(m.Series, Sample{TimeSeconds: now, CoresInUse: inUse})
 }
 
 // record registers a finished job. Under the interference model the

@@ -139,18 +139,19 @@ func (p *listPolicy) profile(ctx *SchedContext, j *Job, cfg core.Config) (JobPro
 // through the repair, when the job may still be waiting out its
 // backoff) unless no other node fits. Returns -1 when no node fits.
 func (p *listPolicy) pick(ctx *SchedContext, j *Job, prof JobProfile) int {
+	ranks, dram := j.Workflow.Ranks, jobDRAMBytes(j)
 	if !p.aware {
-		return ctx.fitsExceptJob(j, -1)
+		return ctx.firstFit(ranks, dram, -1)
 	}
 	if !ctx.Model.Enabled {
 		// No interference model: still avoid the failed node, preferring
 		// the lowest-ID alternative, with first fit as the fallback.
 		if away := ctx.AvoidNode(j.ID); away >= 0 {
-			if id := ctx.fitsExceptJob(j, away); id >= 0 {
+			if id := ctx.firstFit(ranks, dram, away); id >= 0 {
 				return id
 			}
 		}
-		return ctx.fitsExceptJob(j, -1)
+		return ctx.firstFit(ranks, dram, -1)
 	}
 	// The overload floor: the job's score on an idle socket. Demand only
 	// adds and overloadAll never falls as demand grows, so while every
@@ -164,7 +165,7 @@ func (p *listPolicy) pick(ctx *SchedContext, j *Job, prof JobProfile) int {
 	}
 	pickBy := func(skip int) (int, float64) {
 		best, bestScore := -1, inf()
-		ctx.eachFitJob(j, skip, func(n *NodeView) bool {
+		ctx.eachFit(ranks, dram, skip, func(n *NodeView) bool {
 			if score := n.OverloadAfter(ctx.Model, prof); score < bestScore {
 				best, bestScore = n.ID, score
 				return score > floor

@@ -16,7 +16,7 @@ import (
 func fullScanPick(ctx *SchedContext, j Job, prof JobProfile) int {
 	pickBy := func(skip int) int {
 		best, bestScore := -1, inf()
-		ctx.eachFitJob(&j, skip, func(n *NodeView) bool {
+		ctx.eachFit(j.Workflow.Ranks, jobDRAMBytes(&j), skip, func(n *NodeView) bool {
 			if score := n.OverloadAfter(ctx.Model, prof); score < bestScore {
 				best, bestScore = n.ID, score
 			}
@@ -143,7 +143,7 @@ func TestPickEarlyExitMatchesFullScan(t *testing.T) {
 			floor := ctx.Model.overloadAll(prof.ReadBytesPerSecond, prof.WriteBytesPerSecond,
 				prof.DRAMReadBytesPerSecond, prof.DRAMWriteBytesPerSecond)
 			later := false
-			ctx.eachFitJob(&j, -1, func(n *NodeView) bool {
+			ctx.eachFit(j.Workflow.Ranks, jobDRAMBytes(&j), -1, func(n *NodeView) bool {
 				later = n.ID > want
 				return !later
 			})

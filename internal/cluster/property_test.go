@@ -84,8 +84,8 @@ func simulateFresh(t *testing.T, seed int64, opt Options) (*Metrics, Trace) {
 // node's free cores and the first-fit answer for every rank count).
 // It then hides the index, so every capacity query the policy makes
 // takes the linear node scan, and swaps the copy-on-write view for
-// private deep copies, so tentative placements land on nodes the
-// engine never reads. After the policy returns it records each node's
+// private deep copies (no clone slots), so tentative placements land
+// on nodes the engine never reads. After the policy returns it records each node's
 // Cores - FreeAt(Now) under the pass's placements.
 type linearRef struct {
 	t     *testing.T
@@ -102,7 +102,14 @@ func (r *linearRef) Schedule(ctx *SchedContext) ([]Placement, error) {
 		}
 	}
 	for ranks := 0; ranks <= ctx.idx.cores; ranks++ {
-		if got, want := ctx.idx.firstFit(ranks), ctx.fitsLinear(ranks, -1); got != want {
+		want := -1
+		for _, n := range ctx.Nodes {
+			if n.FreeAt(ctx.Now) >= ranks {
+				want = n.ID
+				break
+			}
+		}
+		if got := ctx.firstFit(ranks, 0, -1); got != want {
 			r.t.Errorf("t=%g: index first fit for %d ranks is node %d, node scan %d", ctx.Now, ranks, got, want)
 		}
 	}
@@ -113,7 +120,7 @@ func (r *linearRef) Schedule(ctx *SchedContext) ([]Placement, error) {
 		cl.Running = append([]RunningJob(nil), n.Running...)
 		private[i] = &cl
 	}
-	ctx.Nodes, ctx.owned = private, nil
+	ctx.Nodes, ctx.clones = private, nil
 	placed, err := r.inner.Schedule(ctx)
 	row := make([]int, len(ctx.Nodes))
 	for i, n := range ctx.Nodes {
@@ -161,17 +168,15 @@ func linearRefMismatch(indexed, lin *Metrics, ref *linearRef) error {
 }
 
 // cowLeak is a policy wrapper that breaks the engine's copy-on-write
-// view the way a faulty clone would: it marks every node as already
-// cloned, so the policy's tentative placements write straight into the
+// view the way a faulty clone would: it takes the clone slots away,
+// so the policy's tentative placements write straight into the
 // engine's authoritative nodes.
 type cowLeak struct{ inner Policy }
 
 func (c cowLeak) Name() string { return c.inner.Name() }
 
 func (c cowLeak) Schedule(ctx *SchedContext) ([]Placement, error) {
-	for i := range ctx.owned {
-		ctx.owned[i] = true
-	}
+	ctx.clones = nil
 	return c.inner.Schedule(ctx)
 }
 

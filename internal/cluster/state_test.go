@@ -443,15 +443,26 @@ func TestStatePlacedCandidates(t *testing.T) {
 }
 
 // TestIndexAdd: the grown index answers first-fit queries identically
-// to a linear scan across the 64-bit bitset word boundary.
+// to a linear scan over its counts.
 func TestIndexAdd(t *testing.T) {
 	ix := newFreeIndex(0, 6)
-	if got := ix.firstFit(1); got != -1 {
+	firstFit := func(ranks int) int {
+		first := -1
+		ix.eachFit(ranks, -1, func(id int) bool {
+			first = id
+			return false
+		})
+		return first
+	}
+	if got := firstFit(1); got != -1 {
 		t.Fatalf("empty index firstFit = %d, want -1", got)
 	}
 	for i := 0; i < 130; i++ {
 		if id := ix.add(); id != i {
 			t.Fatalf("add() returned %d, want %d", id, i)
+		}
+		if f := ix.free[i]; f != 6 {
+			t.Fatalf("added node %d holds %d free cores, want 6", i, f)
 		}
 	}
 	// Knock nodes to varied free levels and cross-check against the
@@ -467,7 +478,7 @@ func TestIndexAdd(t *testing.T) {
 				break
 			}
 		}
-		if got := ix.firstFit(ranks); got != want {
+		if got := firstFit(ranks); got != want {
 			t.Errorf("firstFit(%d) = %d, want %d", ranks, got, want)
 		}
 	}
