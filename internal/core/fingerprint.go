@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/bits"
 
+	"pmemsched/internal/numa"
+	"pmemsched/internal/platform"
 	"pmemsched/internal/workflow"
 )
 
@@ -37,15 +39,16 @@ import (
 // access-size granularity switches (e.g. NOVA's block rounding).
 var stackProbeSizes = []int64{1, 512, 4 << 10, 64 << 10, 1 << 20, 64 << 20}
 
-// fingerprint derives the environment's cache identity by building one
-// machine and one stack instance and hashing their observable
-// parameters. Environments that construct structurally identical
-// machines and stacks share cache entries; environments that differ in
-// behaviour but not in probed structure (e.g. a fault-injecting stack
-// wrapping a stock one) must set Env.Tag to stay distinct. It runs once
-// per Runner, off the hit path, so it keeps the readable fmt form; the
+// identity derives the environment's cache fingerprint and its socket
+// symmetry from one machine and one stack instance, so a runner builds
+// each once. The fingerprint hashes their observable parameters:
+// environments that construct structurally identical machines and
+// stacks share cache entries; environments that differ in behaviour
+// but not in probed structure (e.g. a fault-injecting stack wrapping a
+// stock one) must set Env.Tag to stay distinct. It runs once per
+// Runner, off the hit path, so it keeps the readable fmt form; the
 // writes go to a hash, which cannot fail.
-func (e Env) fingerprint() uint64 {
+func (e Env) identity() (uint64, symmetry) {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "tag=%s|", e.Tag)
 	m := e.machine()
@@ -66,8 +69,67 @@ func (e Env) fingerprint() uint64 {
 	for _, size := range stackProbeSizes {
 		fmt.Fprintf(h, "c%d={w=%v r=%v a=%d}|", size, st.WriteCost(size), st.ReadCost(size), st.AccessSize(size))
 	}
-	return h.Sum64()
+	var sym symmetry
+	if e.Tag == "" {
+		sym = machineSymmetry(m)
+	}
+	return h.Sum64(), sym
 }
+
+// symmetry describes a machine whose sockets are interchangeable: its
+// socket count and the free cores each socket offers. The zero value
+// marks a machine (or environment) that is not known to be symmetric.
+//
+// On such a machine a run depends on its deployment only through the
+// mode and the channel's locality, so every deployment of one orbit
+// under socket relabelling yields the same Result.
+type symmetry struct {
+	sockets numa.SocketID
+	cores   int
+}
+
+// machineSymmetry reports the machine's symmetry: at least two sockets
+// with equal core counts, free cores and DRAM bandwidth, one PMEM
+// device and one DRAM tier per socket, and one device model for each
+// tier. The UPI link is one shared resource by construction.
+func machineSymmetry(m *platform.Machine) symmetry {
+	ss := m.Topology.Sockets
+	if len(ss) < 2 || len(m.PMEM) != len(ss) || len(m.DRAM) != len(ss) {
+		return symmetry{}
+	}
+	s0, p0, d0 := ss[0], m.PMEM[0].Model(), m.DRAM[0].Model()
+	for i, s := range ss {
+		if s.Cores != s0.Cores || s.FreeCores() != s0.FreeCores() || s.DRAM.Capacity() != s0.DRAM.Capacity() ||
+			m.PMEM[i].Model() != p0 || m.DRAM[i].Model() != d0 {
+			return symmetry{}
+		}
+	}
+	return symmetry{sockets: numa.SocketID(len(ss)), cores: s0.FreeCores()}
+}
+
+// canonical maps a deployment of a ranks-wide workflow to the
+// representative of its orbit: the same mode, simulation on socket 0,
+// analytics on socket 1, and the channel on 0, 1 or 2 by locality. Only
+// a deployment whose literal run would succeed in placing its
+// components is mapped; an invalid deployment, a socket the machine
+// lacks, or more ranks than a socket's free cores keeps its literal
+// form, so the error it fails with still names its own sockets.
+func (s symmetry) canonical(dep Deployment, ranks int) Deployment {
+	if s.sockets == 0 || ranks > s.cores || dep.Validate() != nil ||
+		!s.has(dep.SimSocket) || !s.has(dep.AnaSocket) || !s.has(dep.DeviceSocket) {
+		return dep
+	}
+	rep := Deployment{Mode: dep.Mode, SimSocket: 0, AnaSocket: 1}
+	switch dep.Locality() {
+	case ChannelLocalToAna:
+		rep.DeviceSocket = 1
+	case ChannelRemoteToBoth:
+		rep.DeviceSocket = 2
+	}
+	return rep
+}
+
+func (s symmetry) has(id numa.SocketID) bool { return id >= 0 && id < s.sockets }
 
 // cacheKey is a memo key: the key family and the 64-bit content hash.
 // It is comparable and fixed-size, so map lookups by it allocate

@@ -63,7 +63,11 @@ func deploymentSpace(sockets int) []Deployment {
 // PlacementOracle searches the deployment space on the engine: every
 // deployment runs as one batch, and the winner is selected by scanning
 // the canonical enumeration order, so ties break deterministically
-// toward the earlier deployment.
+// toward the earlier deployment. On a socket-symmetric environment the
+// batch simulates only the six orbit representatives (2 modes × 3
+// channel localities) and the other deployments are cache hits; every
+// deployment still gets its own entry in Results, equal to its literal
+// run (see RunDeployment).
 func (r *Runner) PlacementOracle(wf workflow.Spec, sockets int) (PlacementDecision, error) {
 	if sockets < 2 {
 		return PlacementDecision{}, fmt.Errorf("core: placement search needs >= 2 sockets, got %d", sockets)

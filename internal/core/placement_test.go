@@ -3,23 +3,8 @@ package core
 import (
 	"testing"
 
-	"pmemsched/internal/numa"
-	"pmemsched/internal/platform"
-	"pmemsched/internal/pmem"
-	"pmemsched/internal/units"
 	"pmemsched/internal/workloads"
 )
-
-func fourSocketEnv() Env {
-	return Env{NewMachine: func() *platform.Machine {
-		return platform.New(numa.Config{
-			Sockets:        4,
-			CoresPerSocket: 28,
-			DRAMBandwidth:  105 * units.GBps,
-			UPIBandwidth:   21.6 * units.GBps,
-		}, pmem.Gen1Optane())
-	}}
-}
 
 func TestDeploymentValidate(t *testing.T) {
 	if err := (Deployment{SimSocket: 1, AnaSocket: 1}).Validate(); err == nil {
@@ -68,7 +53,7 @@ func TestPlacementOracleFourSockets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("placement search in -short mode")
 	}
-	env := fourSocketEnv()
+	env := symmetricEnv(4, nil)
 	wf := workloads.MiniAMRReadOnly(16)
 	dec, err := PlacementOracle(wf, env, 4)
 	if err != nil {
@@ -102,28 +87,6 @@ func TestPlacementOracleFourSockets(t *testing.T) {
 			t.Fatalf("both-remote %s (%.3fs) beat local-to-sim %s (%.3fs)",
 				dep.Label(), total, counter.Label(), counterTotal)
 		}
-	}
-}
-
-func TestPlacementOracleSocketSymmetry(t *testing.T) {
-	// On a symmetric machine, which concrete sockets host the
-	// components must not matter: (sim@0,ana@1) and (sim@2,ana@3) give
-	// identical runtimes.
-	if testing.Short() {
-		t.Skip("placement search in -short mode")
-	}
-	env := fourSocketEnv()
-	wf := workloads.GTCReadOnly(8)
-	a, _, err := RunDeployment(wf, Deployment{Mode: Serial, SimSocket: 0, AnaSocket: 1, DeviceSocket: 0}, env, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := RunDeployment(wf, Deployment{Mode: Serial, SimSocket: 2, AnaSocket: 3, DeviceSocket: 2}, env, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.TotalSeconds != b.TotalSeconds {
-		t.Fatalf("socket symmetry broken: %g vs %g", a.TotalSeconds, b.TotalSeconds)
 	}
 }
 

@@ -78,14 +78,17 @@ type runnerState struct {
 // environment hands out a fresh machine and stack per execution and the
 // simulation kernel is deterministic — so the engine executes jobs on a
 // bounded worker pool and memoizes results by content fingerprint
-// (workflow spec + deployment + environment identity). Identical jobs
-// submitted concurrently are coalesced into one execution.
+// (workflow spec + deployment + environment identity). On a
+// socket-symmetric environment the deployment in the key is its orbit's
+// representative (see RunDeployment). Identical jobs submitted
+// concurrently are coalesced into one execution.
 //
 // All results are bit-identical to serial execution: parallelism and
 // caching change only wall-clock time, never outputs.
 type Runner struct {
 	env    Env
 	envKey uint64
+	sym    symmetry
 	state  *runnerState
 }
 
@@ -95,9 +98,11 @@ func NewRunner(env Env, workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	key, sym := env.identity()
 	return &Runner{
 		env:    env,
-		envKey: env.fingerprint(),
+		envKey: key,
+		sym:    sym,
 		state: &runnerState{
 			sem:   make(chan struct{}, workers),
 			cache: make(map[cacheKey]*cacheEntry),
@@ -108,7 +113,8 @@ func NewRunner(env Env, workers int) *Runner {
 // WithEnv returns a runner over a different environment sharing this
 // runner's worker pool, cache, and counters.
 func (r *Runner) WithEnv(env Env) *Runner {
-	return &Runner{env: env, envKey: env.fingerprint(), state: r.state}
+	key, sym := env.identity()
+	return &Runner{env: env, envKey: key, sym: sym, state: r.state}
 }
 
 // Env returns the environment the runner executes in.
@@ -209,11 +215,26 @@ func (st *runnerState) do(key cacheKey, exec func() (any, error)) (any, error) {
 }
 
 // RunDeployment executes (or recalls) the workflow under an explicit
-// deployment. The cache holds the Result itself, not a *Result: a hit
-// then copies it twice on its way out of Run instead of once, but the
-// pointer-holding miss path timed about 5% slower on the simulation-
-// heavy experiments (fig8, tab2), with the kernel's code unchanged.
+// deployment.
+//
+// When the environment is socket-symmetric (an empty Env.Tag, and
+// sockets with equal cores, DRAM bandwidth and PMEM and DRAM-tier
+// models), a deployment that can place its components runs as its
+// orbit's representative: same mode, simulation on socket 0, analytics
+// on socket 1, channel on 0, 1 or 2 by Locality. Every deployment of
+// an orbit yields the same Result, and Result carries no socket, so
+// the answer is the literal run's; relabelled deployments just share
+// one cache entry. Invalid deployments, sockets the machine lacks and
+// oversubscribed sockets run literally, so their errors name their own
+// sockets. The package-level RunDeployment always runs the literal
+// deployment.
+//
+// The cache holds the Result itself, not a *Result: a hit then copies
+// it twice on its way out of Run instead of once, but the pointer-
+// holding miss path timed about 5% slower on the simulation-heavy
+// experiments (fig8, tab2), with the kernel's code unchanged.
 func (r *Runner) RunDeployment(wf workflow.Spec, dep Deployment) (Result, error) {
+	dep = r.sym.canonical(dep, wf.Ranks)
 	v, err := r.state.do(runKey(r.envKey, &wf, dep), func() (any, error) {
 		res, _, err := RunDeployment(wf, dep, r.env, false)
 		return res, err

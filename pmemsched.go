@@ -311,7 +311,11 @@ func RunDeployment(wf Workflow, dep Deployment, env Env, traced bool) (Result, *
 	return core.RunDeployment(wf, dep, env, traced)
 }
 
-// PlacementOracle searches every deployment of an N-socket machine.
+// PlacementOracle searches every deployment of an N-socket machine. On
+// a machine of identical sockets it simulates one deployment per orbit
+// under socket relabelling (mode × channel locality, six orbits) and
+// reports the same result for every deployment of the orbit, which is
+// what the literal run returns; see Runner.RunDeployment.
 func PlacementOracle(wf Workflow, env Env, sockets int) (PlacementDecision, error) {
 	return core.PlacementOracle(wf, env, sockets)
 }
