@@ -167,18 +167,20 @@ func normalizeAssignment(d workflow.DAGSpec, asg DAGAssignment) ([]StageConfig, 
 	return stages, nil
 }
 
-// stackRunner resolves a stage's stack name to a runner sharing rt's
-// worker pool and cache.
-func stackRunner(rt *Runner, opt DAGOptions, stack string) (*Runner, error) {
-	if stack == "" {
-		return rt, nil
-	}
+// stackRunners resolves the base environment ("") and each of the
+// options' named stacks to a runner sharing rt's worker pool and cache.
+// Deriving a runner fingerprints its environment, so a search resolves
+// its stacks once, not once per stage of every prediction. A repeated
+// name keeps its first environment.
+func stackRunners(rt *Runner, opt DAGOptions) map[string]*Runner {
+	runners := make(map[string]*Runner, len(opt.Stacks)+1)
+	runners[""] = rt
 	for _, ne := range opt.Stacks {
-		if ne.Name == stack {
-			return rt.WithEnv(ne.Env), nil
+		if _, ok := runners[ne.Name]; !ok {
+			runners[ne.Name] = rt.WithEnv(ne.Env)
 		}
 	}
-	return nil, fmt.Errorf("core: unknown stack %q (options name %d stacks)", stack, len(opt.Stacks))
+	return runners
 }
 
 // PredictDAG runs the staged cost model for one assignment: each edge
@@ -191,15 +193,22 @@ func PredictDAG(rt *Runner, d workflow.DAGSpec, asg DAGAssignment, opt DAGOption
 	if err := d.Validate(); err != nil {
 		return DAGPrediction{}, err
 	}
+	return predictDAG(stackRunners(rt, opt), d, asg, opt)
+}
+
+// predictDAG is PredictDAG on a validated DAG, with its stacks
+// resolved by stackRunners.
+func predictDAG(stacks map[string]*Runner, d workflow.DAGSpec, asg DAGAssignment, opt DAGOptions) (DAGPrediction, error) {
 	stages, err := normalizeAssignment(d, asg)
 	if err != nil {
 		return DAGPrediction{}, err
 	}
 	runners := make([]*Runner, len(stages))
 	for i, sc := range stages {
-		r, err := stackRunner(rt, opt, sc.Stack)
-		if err != nil {
-			return DAGPrediction{}, fmt.Errorf("core: dag %q: stage %q: %w", d.Name, d.Stages[i].Name, err)
+		r, ok := stacks[sc.Stack]
+		if !ok {
+			return DAGPrediction{}, fmt.Errorf("core: dag %q: stage %q: core: unknown stack %q (options name %d stacks)",
+				d.Name, d.Stages[i].Name, sc.Stack, len(opt.Stacks))
 		}
 		runners[i] = r
 	}
@@ -428,6 +437,7 @@ func TuneDAG(rt *Runner, d workflow.DAGSpec, opt DAGOptions) (TunedDAG, error) {
 	if err != nil {
 		return TunedDAG{}, err
 	}
+	stacks := stackRunners(rt, opt)
 	seen := make(map[cacheKey]dagEval)
 	// evalAll predicts every assignment not seen before (each distinct
 	// key once) concurrently and returns the evaluations in input
@@ -446,7 +456,7 @@ func TuneDAG(rt *Runner, d workflow.DAGSpec, opt DAGOptions) (TunedDAG, error) {
 		preds := make([]DAGPrediction, len(todo))
 		errs := make([]error, len(todo))
 		fanOut(len(todo), rt.Workers(), func(i int) {
-			preds[i], errs[i] = PredictDAG(rt, d, asgs[todo[i]], opt)
+			preds[i], errs[i] = predictDAG(stacks, d, asgs[todo[i]], opt)
 		})
 		for i, j := range todo {
 			if errs[i] != nil {

@@ -169,6 +169,14 @@ func RunDeployment(wf workflow.Spec, dep Deployment, env Env, traced bool) (Resu
 	}
 	m := env.machine()
 	st := env.stack()
+	for _, c := range []struct {
+		role   string
+		socket numa.SocketID
+	}{{"simulation", dep.SimSocket}, {"analytics", dep.AnaSocket}, {"channel", dep.DeviceSocket}} {
+		if n := len(m.Topology.Sockets); int(c.socket) < 0 || int(c.socket) >= n {
+			return Result{}, nil, fmt.Errorf("core: placing %s: no socket %d in %d-socket machine", c.role, c.socket, n)
+		}
+	}
 
 	simSocket := dep.SimSocket
 	anaSocket := dep.AnaSocket

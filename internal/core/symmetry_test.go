@@ -64,19 +64,6 @@ func randomSpec(rng *rand.Rand, i int) workflow.Spec {
 // and its channel locality.
 func orbitOf(dep Deployment) [2]int { return [2]int{int(dep.Mode), int(dep.Locality())} }
 
-// literalRun runs the deployment through the package-level
-// RunDeployment, which never canonicalizes, and folds a panic into an
-// error the way the runner does.
-func literalRun(wf workflow.Spec, dep Deployment, env Env) (res Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = Result{}, fmt.Errorf("core: run panicked: %v", r)
-		}
-	}()
-	res, _, err = RunDeployment(wf, dep, env, false)
-	return res, err
-}
-
 // TestPlacementOracleSocketSymmetry is the symmetry invariant, bit for
 // bit: on 2-, 3- and 4-socket machines of identical sockets, every
 // deployment of one orbit (mode × channel locality) yields the same
@@ -176,10 +163,11 @@ func TestAsymmetricEnvRunsLiteral(t *testing.T) {
 
 // TestSymmetricRunnerKeepsLiteralErrors: a deployment that cannot place
 // its components runs literally on a symmetric runner, so its error
-// text is the literal run's and names its own sockets. The first two
-// fixtures are ones a canonicalization of every deployment got wrong:
-// it ran the co-located deployment, and blamed socket 2 for a channel
-// on socket 5.
+// text is the literal run's (the package-level RunDeployment, which
+// never canonicalizes) and names its own sockets. A socket the machine
+// lacks is an error, not a panic. The first two fixtures are ones a
+// canonicalization of every deployment got wrong: it ran the co-located
+// deployment, and blamed socket 2 for a channel on socket 5.
 func TestSymmetricRunnerKeepsLiteralErrors(t *testing.T) {
 	gtc8, wide := workloads.GTCReadOnly(8), workloads.GTCReadOnly(8)
 	wide.Ranks = 40
@@ -197,7 +185,7 @@ func TestSymmetricRunnerKeepsLiteralErrors(t *testing.T) {
 		{"more ranks than cores", 4, wide, Deployment{Mode: Serial, SimSocket: 3, AnaSocket: 2, DeviceSocket: 3}, "socket 3: cannot reserve 40 cores"},
 	} {
 		env := symmetricEnv(c.sockets, nil)
-		_, want := literalRun(c.wf, c.dep, env)
+		_, _, want := RunDeployment(c.wf, c.dep, env, false)
 		if want == nil || !strings.Contains(want.Error(), c.want) {
 			t.Fatalf("%s: literal run returned %v, want an error naming %q", c.name, want, c.want)
 		}

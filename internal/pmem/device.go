@@ -32,6 +32,12 @@ type Device struct {
 	pressure float64
 	lastT    float64
 
+	// terms holds the model's census-independent factors for the
+	// installed flows and the current pressure; an install marks them
+	// stale and the next evaluation rebuilds them.
+	terms      terms
+	termsStale bool
+
 	read  readPort
 	write writePort
 }
@@ -44,7 +50,7 @@ func NewDevice(name string, model Model) *Device {
 	if err := model.Validate(); err != nil {
 		panic(fmt.Sprintf("pmem: invalid model for device %q: %v", name, err))
 	}
-	d := &Device{name: name, model: model}
+	d := &Device{name: name, model: model, termsStale: true}
 	d.read.d = d
 	d.write.d = d
 	return d
@@ -73,7 +79,7 @@ func (d *Device) advance(now float64) {
 	}
 	dt := now - d.lastT
 	d.lastT = now
-	occ := math.Min(1, d.load().Writes()/d.model.WriteScaleOps)
+	occ := min(1, d.load().Writes()/d.model.WriteScaleOps)
 	alpha := 1 - math.Exp(-dt/d.model.PressureTau)
 	d.pressure += (occ - d.pressure) * alpha
 }
@@ -110,6 +116,16 @@ func tally(flows []*sim.Flow, small []bool) (local, remote, smallW float64, rawS
 	return local, remote, smallW, rawSmall
 }
 
+// currentTerms returns the model's census-independent factors for the
+// installed flows, rebuilding them after an install.
+func (d *Device) currentTerms(l Load) *terms {
+	if d.termsStale {
+		d.terms = d.model.terms(l, d.pressure)
+		d.termsStale = false
+	}
+	return &d.terms
+}
+
 // classify records, into dst's storage, whether each flow is a
 // sub-stripe access.
 func (d *Device) classify(dst []bool, flows []*sim.Flow) []bool {
@@ -130,10 +146,12 @@ func (p *readPort) SetFlows(now float64, flows []*sim.Flow) {
 	p.d.advance(now)
 	p.d.readFlows = flows
 	p.d.readSmall = p.d.classify(p.d.readSmall, flows)
+	p.d.termsStale = true
 }
 
 func (p *readPort) Evaluate() (float64, float64) {
-	return p.d.model.readCap(p.d.load(), p.d.pressure), p.d.model.ReadPerFlowMax
+	l := p.d.load()
+	return p.d.model.readCap(l, p.d.currentTerms(l)), p.d.model.ReadPerFlowMax
 }
 
 type writePort struct{ d *Device }
@@ -144,10 +162,12 @@ func (p *writePort) SetFlows(now float64, flows []*sim.Flow) {
 	p.d.advance(now)
 	p.d.writeFlows = flows
 	p.d.writeSmall = p.d.classify(p.d.writeSmall, flows)
+	p.d.termsStale = true
 }
 
 func (p *writePort) Evaluate() (float64, float64) {
-	return p.d.model.writeCap(p.d.load(), p.d.pressure), p.d.model.WritePerFlowMax
+	l := p.d.load()
+	return p.d.model.writeCap(l, p.d.currentTerms(l)), p.d.model.WritePerFlowMax
 }
 
 var (

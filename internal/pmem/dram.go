@@ -2,7 +2,6 @@ package pmem
 
 import (
 	"fmt"
-	"math"
 
 	"pmemsched/internal/sim"
 	"pmemsched/internal/units"
@@ -169,7 +168,7 @@ func (p *dramReadPort) SetFlows(_ float64, flows []*sim.Flow) {
 
 func (p *dramReadPort) Evaluate() (float64, float64) {
 	reads, writes := p.d.weights()
-	cap := p.d.model.ReadMax * math.Min(1, (reads+writes)/p.d.model.ScaleOps)
+	cap := p.d.model.ReadMax * min(1, (reads+writes)/p.d.model.ScaleOps)
 	return cap, p.d.model.ReadPerFlowMax
 }
 
@@ -183,7 +182,7 @@ func (p *dramWritePort) SetFlows(_ float64, flows []*sim.Flow) {
 
 func (p *dramWritePort) Evaluate() (float64, float64) {
 	reads, writes := p.d.weights()
-	cap := p.d.model.WriteMax * math.Min(1, (reads+writes)/p.d.model.ScaleOps)
+	cap := p.d.model.WriteMax * min(1, (reads+writes)/p.d.model.ScaleOps)
 	return cap, p.d.model.WritePerFlowMax
 }
 

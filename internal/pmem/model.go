@@ -331,20 +331,69 @@ type Caps struct {
 // model once per flow, path resource and fixed-point sweep, and a value
 // receiver would copy the whole calibration on every call.
 func (m *Model) Caps(l Load, pressure float64) Caps {
-	shared := m.sharedEfficiency(l, pressure)
-	return Caps{Read: m.readSide(l) * shared, Write: m.writeSide(l, pressure) * shared}
+	t := m.terms(l, pressure)
+	shared := m.sharedEfficiency(l, &t)
+	return Caps{Read: m.readSide(l) * shared, Write: m.writeSide(l, &t) * shared}
 }
 
-// readCap is Caps(l, pressure).Read, bit for bit, without evaluating
-// the write side.
-func (m *Model) readCap(l Load, pressure float64) float64 {
-	return m.readSide(l) * m.sharedEfficiency(l, pressure)
+// terms are the capacity model's census-independent factors: those
+// that depend only on the sustained-write pressure and on the raw
+// stream counts. A Device changes both only when it installs flows, so
+// it builds its terms once per install; Caps and RemoteWritePenalty
+// build them per call. Both paths then run the same arithmetic, so
+// they agree bit for bit.
+type terms struct {
+	dragSlope float64 // write-capacity drag per effective remote reader
+	penSlope  float64 // remote-write penalty's gated linear slope
+	penQuad   float64 // remote-write penalty's quadratic coefficient
+	mixRamp   float64 // mixing penalty's ramp in the raw stream count (0: below the onset)
+	mixScale  float64 // mixing penalty's sustained-pressure scale
+	thrash    float64 // XPBuffer-thrash divisor (exactly 1: none)
+	dimm      float64 // per-DIMM contention divisor (exactly 1: none)
 }
 
-// writeCap is Caps(l, pressure).Write, bit for bit, without evaluating
-// the read side.
-func (m *Model) writeCap(l Load, pressure float64) float64 {
-	return m.writeSide(l, pressure) * m.sharedEfficiency(l, pressure)
+// terms builds the factors for a load's raw stream counts (its weighted
+// counts are not read) at the given sustained-write pressure.
+func (m *Model) terms(l Load, pressure float64) terms {
+	p := clamp01(pressure)
+	// The remote-write penalty's linear term is gated by the pressure
+	// knee (see the field comment); its quadratic term is mostly
+	// pressure-independent: UPI/iMC queue saturation kicks in from
+	// remote-writer concurrency alone, which is what flips GTC's
+	// preferred placement between 16 and 24 ranks.
+	gate := 1 / (1 + math.Exp(-(p-m.RemoteWritePressureKnee)/m.RemoteWritePressureWidth))
+	t := terms{
+		dragSlope: m.RemoteReadDragBase + m.RemoteReadDragPressure*p,
+		penSlope:  m.RemoteWriteSlopeBase + m.RemoteWriteSlopePressure*gate,
+		penQuad:   m.RemoteWriteQuadBase + m.RemoteWriteQuadPressure*p,
+		mixScale:  m.MixPressureFloor + (1-m.MixPressureFloor)*p,
+		thrash:    1,
+		dimm:      1,
+	}
+	raw := l.RawTotal()
+	if raw > m.MixOnsetOps {
+		t.mixRamp = min(1, float64(raw-m.MixOnsetOps)/float64(m.MixFullOps-m.MixOnsetOps))
+	}
+	if raw > m.XPThrashOps {
+		t.thrash = 1 + m.XPThrashSlope*float64(raw-m.XPThrashOps)
+	}
+	if l.RawSmall > 0 && raw >= m.SmallContendOps {
+		frac := float64(l.RawSmall) / float64(raw)
+		t.dimm = 1 + m.DimmSlope*float64(raw-m.SmallContendOps+1)*frac
+	}
+	return t
+}
+
+// readCap is Caps(l, pressure).Read, bit for bit, for t built from l
+// and pressure, without evaluating the write side.
+func (m *Model) readCap(l Load, t *terms) float64 {
+	return m.readSide(l) * m.sharedEfficiency(l, t)
+}
+
+// writeCap is Caps(l, pressure).Write, bit for bit, for t built from l
+// and pressure, without evaluating the read side.
+func (m *Model) writeCap(l Load, t *terms) float64 {
+	return m.writeSide(l, t) * m.sharedEfficiency(l, t)
 }
 
 // readSide is the read aggregate before the whole-device factors: zero
@@ -358,9 +407,9 @@ func (m *Model) readSide(l Load) float64 {
 
 // writeSide is the write aggregate before the whole-device factors:
 // zero when nothing writes.
-func (m *Model) writeSide(l Load, pressure float64) float64 {
+func (m *Model) writeSide(l Load, t *terms) float64 {
 	if l.Writes() > 0 {
-		return m.writeAggregate(l, pressure)
+		return m.writeAggregate(l, t)
 	}
 	return 0
 }
@@ -369,7 +418,7 @@ func (m *Model) writeSide(l Load, pressure float64) float64 {
 // in proportionally to the remote share.
 func (m *Model) readAggregate(l Load) float64 {
 	n := l.Reads()
-	base := m.ReadMax * math.Min(1, n/m.ReadScaleOps)
+	base := m.ReadMax * min(1, n/m.ReadScaleOps)
 	pen := m.remoteReadPenalty(l.RemoteReads)
 	return base * (l.LocalReads + l.RemoteReads/pen) / n
 }
@@ -383,26 +432,27 @@ func (m *Model) remoteReadPenalty(w float64) float64 {
 	if ramp < 1 {
 		ramp = 1
 	}
-	frac := math.Min(1, math.Max(0, w-1)/ramp)
+	frac := min(1, max(0, w-1)/ramp)
 	return m.RemoteReadBase + span*frac
 }
 
 // writeAggregate: linear scaling to WriteScaleOps, then a gentle decay
 // (XPBuffer eviction) with more write streams; remote writers collapse
 // per the pressure-scaled penalty, blended by population.
-func (m *Model) writeAggregate(l Load, pressure float64) float64 {
+func (m *Model) writeAggregate(l Load, t *terms) float64 {
 	n := l.Writes()
-	scale := math.Min(1, n/m.WriteScaleOps)
+	scale := min(1, n/m.WriteScaleOps)
 	if n > m.WriteScaleOps {
 		decay := 1 - m.WriteDecay*(n-m.WriteScaleOps)
-		scale = math.Max(m.WriteFloor, decay)
+		scale = max(m.WriteFloor, decay)
 	}
 	base := m.WriteMax * scale
 	// Remote reads in flight hold UPI and iMC resources that back-press
 	// the write path; the drag deepens under sustained write pressure.
-	dragSlope := m.RemoteReadDragBase + m.RemoteReadDragPressure*clamp01(pressure)
-	base /= 1 + dragSlope*l.RemoteReads
-	pen := m.RemoteWritePenalty(l.RemoteWrites, pressure)
+	if drag := 1 + t.dragSlope*l.RemoteReads; drag != 1 {
+		base /= drag
+	}
+	pen := m.remoteWritePenalty(l.RemoteWrites, t)
 	return base * (l.LocalWrites + l.RemoteWrites/pen) / n
 }
 
@@ -410,24 +460,23 @@ func (m *Model) writeAggregate(l Load, pressure float64) float64 {
 // for w effective concurrent remote writers at the given sustained
 // pressure. Exported for characterization output and ablation tests.
 func (m *Model) RemoteWritePenalty(w, pressure float64) float64 {
+	t := m.terms(Load{}, pressure)
+	return m.remoteWritePenalty(w, &t)
+}
+
+// remoteWritePenalty is RemoteWritePenalty at the pressure t was built
+// for.
+func (m *Model) remoteWritePenalty(w float64, t *terms) float64 {
 	if w <= 0 {
 		return 1
 	}
-	p := clamp01(pressure)
-	// Linear term gated by the pressure knee (see the field comment);
-	// the quadratic term is mostly pressure-independent: UPI/iMC queue
-	// saturation kicks in from remote-writer concurrency alone, which
-	// is what flips GTC's preferred placement between 16 and 24 ranks.
-	gate := 1 / (1 + math.Exp(-(p-m.RemoteWritePressureKnee)/m.RemoteWritePressureWidth))
-	slope := m.RemoteWriteSlopeBase + m.RemoteWriteSlopePressure*gate
-	quad := m.RemoteWriteQuadBase + m.RemoteWriteQuadPressure*p
 	pen := 1.0
 	if m.RemoteWriteSatOps > 0 {
 		pen += m.RemoteWriteSatSlope * w / (1 + w/m.RemoteWriteSatOps)
 	}
 	x := w - m.RemoteFreeOps
 	if x > 0 {
-		pen += slope*x + quad*x*x
+		pen += t.penSlope*x + t.penQuad*x*x
 	}
 	return pen
 }
@@ -436,33 +485,30 @@ func (m *Model) RemoteWritePenalty(w, pressure float64) float64 {
 // XPBuffer thrash at high raw concurrency, and single-DIMM contention
 // from small accesses. The volume mix (how deep the mixing penalty
 // cuts at its peak) uses weighted counts; the contention triggers use
-// raw stream counts (see Load).
-func (m *Model) sharedEfficiency(l Load, pressure float64) float64 {
+// raw stream counts (see Load), so they live in t.
+func (m *Model) sharedEfficiency(l Load, t *terms) float64 {
 	n := l.Total()
-	raw := l.RawTotal()
-	if n <= 0 || raw <= 0 {
+	if n <= 0 || l.RawTotal() <= 0 {
 		return 1
 	}
 	eff := 1.0
 	// Mixing: peak loss at a 50/50 effective read/write split, deepened
 	// by sub-stripe traffic, ramping in with raw stream count.
-	if l.Reads() > 0 && l.Writes() > 0 && raw > m.MixOnsetOps {
-		ramp := math.Min(1, float64(raw-m.MixOnsetOps)/float64(m.MixFullOps-m.MixOnsetOps))
+	if t.mixRamp > 0 && l.Reads() > 0 && l.Writes() > 0 {
 		wf := l.Writes() / n
 		smallFrac := (l.SmallReads + l.SmallWrites) / n
-		scale := m.MixPressureFloor + (1-m.MixPressureFloor)*clamp01(pressure)
-		penalty := (m.MixPenalty + m.SmallMixBoost*smallFrac) * ramp * scale
+		penalty := (m.MixPenalty + m.SmallMixBoost*smallFrac) * t.mixRamp * t.mixScale
 		e := 1 - penalty*4*wf*(1-wf)
-		eff *= math.Max(m.MixFloor, e)
+		eff *= max(m.MixFloor, e)
 	}
-	// Internal-cache thrash beyond XPThrashOps raw streams.
-	if raw > m.XPThrashOps {
-		eff /= 1 + m.XPThrashSlope*float64(raw-m.XPThrashOps)
+	// Internal-cache thrash beyond XPThrashOps raw streams, and per-DIMM
+	// contention from sub-stripe accesses from many threads. A divisor
+	// of exactly 1 leaves eff unchanged, so it is skipped.
+	if t.thrash != 1 {
+		eff /= t.thrash
 	}
-	// Sub-stripe accesses from many threads contend per-DIMM.
-	if l.RawSmall > 0 && raw >= m.SmallContendOps {
-		frac := float64(l.RawSmall) / float64(raw)
-		eff /= 1 + m.DimmSlope*float64(raw-m.SmallContendOps+1)*frac
+	if t.dimm != 1 {
+		eff /= t.dimm
 	}
 	return eff
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -70,6 +71,8 @@ type Kernel struct {
 	cur       int
 	slotOf    map[Resource]int // this round's resource -> slot
 	pathSlots []int            // every active flow's path as slots, in flow order
+	evals     []slotEval       // this round's latest evaluation per slot
+	epoch     uint64           // weight epoch: moves when any evaluation may change
 
 	// MaxSteps bounds the number of kernel events as a runaway guard;
 	// zero means the default (1e9).
@@ -284,18 +287,21 @@ func (k *Kernel) wakeBarrier(b *Barrier) {
 	}
 }
 
-// rateIterations is the number of Gauss–Seidel sweeps a rate round
-// makes to settle flow duty-cycle weights against capacity models that
-// depend on them. Four sweeps do not always reach the fixed point: a
-// flow whose per-operation software cost is comparable to its device
-// time, on a device whose capacity grows with the weighted census, can
-// see its weight alternate between two values instead of converging.
-// Over a full wfsuite run on the Gen-1 model (190,460 rate rounds), a
-// second round on the unchanged flow set moved no rate by 0.1% or more
-// in 88.5% of rounds and by 1% or more in 5.4%; the largest move was
-// 28%. TestWeightConvergence pins the residual on a synthetic census
-// resource. The count is part of the model: changing it changes
-// results.
+// rateIterations caps the Gauss–Seidel sweeps a rate round makes to
+// settle flow duty-cycle weights against capacity models that depend
+// on them. A round makes at most four sweeps, and stops early at a
+// bit-exact fixed point: a sweep that leaves every weight bit-identical
+// would be repeated bit for bit by the next, so the rates it set are
+// the ones the fourth sweep would set. Four sweeps do not always reach
+// the fixed point: a flow whose per-operation software cost is
+// comparable to its device time, on a device whose capacity grows with
+// the weighted census, can see its weight alternate between two values
+// instead of converging. Over a full wfsuite run on the Gen-1 model
+// (190,460 rate rounds), a second round on the unchanged flow set moved
+// no rate by 0.1% or more in 88.5% of rounds and by 1% or more in
+// 5.4%; the largest move was 28%. TestWeightConvergence pins the
+// residual on a synthetic census resource. The cap is part of the
+// model: changing it changes results.
 const rateIterations = 4
 
 // rateRound is one rate round's resource layout: the union of the
@@ -326,13 +332,17 @@ func (rd *rateRound) add(r Resource) int {
 	return i
 }
 
-// assignRates recomputes flow rates. Each flow's device share is its
-// equal share of every path resource's capacity under the current
-// weighted census (capped by the resource's per-flow stream limit);
-// its payload rate is then throttled by the per-operation software
-// cost, which in turn determines the duty-cycle weight the next
-// iteration's census sees.
-func (k *Kernel) assignRates() {
+// slotEval is a slot's latest evaluation: its resource's capacity and
+// per-flow cap, and the weighted census of its flows (at least 1),
+// valid while the kernel's weight epoch equals epoch.
+type slotEval struct {
+	capacity, perFlow, census float64
+	epoch                     uint64
+}
+
+// installRound lays out a new round over the active flows, installs
+// its flow lists on their resources and returns it.
+func (k *Kernel) installRound() *rateRound {
 	prev := &k.rounds[k.cur]
 	k.cur ^= 1
 	rd := &k.rounds[k.cur]
@@ -340,7 +350,7 @@ func (k *Kernel) assignRates() {
 	clear(k.slotOf)
 	// Lay out this round: slots for the union of the flows' paths, the
 	// flow list of each slot, and every flow's path resolved to slots,
-	// so the sweeps below index slices instead of looking resources up.
+	// so the sweeps index slices instead of looking resources up.
 	k.pathSlots = k.pathSlots[:0]
 	for _, f := range k.flows {
 		for _, r := range f.path {
@@ -365,22 +375,49 @@ func (k *Kernel) assignRates() {
 	for i, r := range rd.resources {
 		r.SetFlows(k.now, rd.flowsOn[i])
 	}
+	return rd
+}
 
-	for iter := 0; iter < rateIterations; iter++ {
+// assignRates recomputes flow rates and returns the number of sweeps
+// it made. Each flow's device share is its equal share of every path
+// resource's capacity under the current weighted census (capped by the
+// resource's per-flow stream limit); its payload rate is then
+// throttled by the per-operation software cost, which in turn
+// determines the duty-cycle weight the next iteration's census sees.
+//
+// An evaluation depends only on the installed flows' weights and on
+// state fixed at install (see Resource), so a slot's evaluation and
+// census are reused until some weight changes. One kernel-wide epoch
+// tracks that: it moves after the installs and whenever a flow's
+// weight changes bitwise. It is global, not per resource, because a
+// device's ports share one census the kernel cannot see.
+func (k *Kernel) assignRates() int {
+	rd := k.installRound()
+	// Every earlier evaluation is stale: its epoch is below this one.
+	k.epoch++
+	k.evals = slices.Grow(k.evals[:0], len(rd.resources))[:len(rd.resources)]
+
+	for sweep := 1; sweep <= rateIterations; sweep++ {
+		start := k.epoch
 		slots := k.pathSlots
 		for _, f := range k.flows {
 			share := math.Inf(1)
-			for _, r := range f.path {
-				cap, perFlow := r.Evaluate()
-				w := 0.0
-				for _, g := range rd.flowsOn[slots[0]] {
-					w += g.Weight
-				}
+			for range f.path {
+				i := slots[0]
 				slots = slots[1:]
-				if w < 1 {
-					w = 1
+				e := &k.evals[i]
+				if e.epoch != k.epoch {
+					e.capacity, e.perFlow = rd.resources[i].Evaluate()
+					w := 0.0
+					for _, g := range rd.flowsOn[i] {
+						w += g.Weight
+					}
+					if w < 1 {
+						w = 1
+					}
+					e.census, e.epoch = w, k.epoch
 				}
-				s := math.Min(cap/w, perFlow)
+				s := min(e.capacity/e.census, e.perFlow)
 				if s < share {
 					share = s
 				}
@@ -388,6 +425,7 @@ func (k *Kernel) assignRates() {
 			if share < minRate {
 				share = minRate
 			}
+			old := f.Weight
 			f.device = share
 			if f.perOp > 0 {
 				cycle := f.perOp + f.opBytes/share
@@ -400,8 +438,17 @@ func (k *Kernel) assignRates() {
 			if f.rate < minRate {
 				f.rate = minRate
 			}
+			if math.Float64bits(f.Weight) != math.Float64bits(old) {
+				k.epoch++
+			}
+		}
+		// No weight moved, so a further sweep would repeat this one bit
+		// for bit.
+		if k.epoch == start {
+			return sweep
 		}
 	}
+	return rateIterations
 }
 
 // nextEventTime returns the earliest pending completion time.
@@ -454,7 +501,7 @@ func (k *Kernel) completeStages() {
 		}
 		switch p.stage.(type) {
 		case Compute:
-			if p.stageEnd <= k.now+1e-15*math.Max(1, k.now) {
+			if p.stageEnd <= k.now+1e-15*max(1, k.now) {
 				k.traceFinish(p, k.now)
 				p.finishStage(k.now)
 				k.advanceProc(p)
@@ -511,7 +558,7 @@ func (p *Proc) beginAt(tag string, now float64) {
 func (p *Proc) finishStage(now float64) {
 	elapsed := now - p.tick
 	for _, c := range p.charges {
-		attributed := math.Min(c.Seconds, elapsed)
+		attributed := min(c.Seconds, elapsed)
 		p.charge(c.Tag, attributed)
 		elapsed -= attributed
 	}

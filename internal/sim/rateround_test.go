@@ -39,7 +39,9 @@ func rateRoundKernel() *sim.Kernel {
 
 // BenchmarkRateRound measures one kernel rate round (install the flow
 // lists, then the Gauss–Seidel sweeps with their device evaluations) at
-// 48 flows.
+// 48 flows. Each op starts from fresh weights, as a round over new
+// flows does: on the settled weights the previous op left, the round
+// would stop at its fixed point after one sweep.
 func BenchmarkRateRound(b *testing.B) {
 	k := rateRoundKernel()
 	sim.AssignRates(k)
@@ -47,6 +49,7 @@ func BenchmarkRateRound(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		sim.ResetWeights(k)
 		sim.AssignRates(k)
 	}
 }

@@ -28,9 +28,12 @@ type Resource interface {
 	SetFlows(now float64, flows []*Flow)
 	// Evaluate returns the aggregate capacity (bytes/second) available
 	// to the installed flows and the per-flow stream cap (use
-	// math.Inf(1) for none). Called one or more times per round as the
-	// fixed point iterates; implementations should re-read flow weights
-	// on each call.
+	// math.Inf(1) for none). The result must depend only on the Class
+	// and Weight of the installed flows (a device's read and write
+	// ports may share one census) and on state fixed at SetFlows.
+	// Called one or more times per round as the fixed point iterates;
+	// an implementation must re-read the weights on each call, and the
+	// kernel may reuse a result for as long as no flow's weight changes.
 	Evaluate() (capacity, perFlow float64)
 }
 
